@@ -12,7 +12,6 @@ __all__ = [
     "ChangePointEstimate",
     "cusum_objective",
     "objective_curve",
-    "objective_curve_from_outer_products",
     "estimate_changepoint",
 ]
 
@@ -29,30 +28,108 @@ class ChangePointEstimate:
     n_obs: int
 
 
-def objective_curve_from_outer_products(outers: np.ndarray, weight: float) -> np.ndarray:
-    """CUSUM objective f(k), k = 1..N-1, from per-observation outer products.
+#: bytes of scratch an objective scan may hold per work array; the scan
+#: visits the observations in blocks of this size, so its memory is
+#: bounded in N
+SCAN_BLOCK_BYTES = 1 << 20
 
-    ``outers`` has shape (N, R, R); entry n is the second-moment contribution
-    of observation n.  One cumulative pass gives every split in O(N * R^2).
+
+def _block_len(item_bytes: int) -> int:
+    return max(1, SCAN_BLOCK_BYTES // item_bytes)
+
+
+def _packed_distances(values: np.ndarray) -> np.ndarray:
+    """||S_k/k - (S-S_k)/(N-k)||_F^2 for k = 1..N-1 over packed upper-triangle features.
+
+    Observation n contributes the features values[n,a] * values[n,b], a <= b;
+    off-diagonal features count twice in the Frobenius norm.  Features are
+    laid out one row per feature so every pass runs along contiguous memory,
+    and the prefix sum S_k is carried from one block of observations to the
+    next.
     """
-    n = outers.shape[0]
-    if n < 2:
-        raise ValueError("the objective needs at least two observations")
-    cum = np.cumsum(outers, axis=0)
-    total = cum[-1]
-    ks = np.arange(1, n)
-    head_mean = cum[:-1] / ks[:, None, None]
-    tail_mean = (total - cum[:-1]) / (n - ks)[:, None, None]
-    dist_sq = weight**2 * ((head_mean - tail_mean) ** 2).sum(axis=(1, 2))
-    return ks * (n - ks) / n**2 * dist_sq
+    n, r = values.shape
+    rows, cols = np.triu_indices(r)
+    n_feat = rows.size
+    weights = np.where(rows == cols, 1.0, 2.0)
+    total = (values.T @ values)[rows, cols][:, None]
+    step = _block_len(8 * n_feat)
+    head = np.empty((n_feat, min(step, n - 1)))
+    tail = np.empty_like(head)
+    carry = np.zeros(n_feat)
+    dist = np.empty(n - 1)
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n - 1)
+        h, t = head[:, : stop - start], tail[:, : stop - start]
+        block = values[start:stop].T
+        offset = 0
+        for a in range(r):
+            np.multiply(block[a], block[a:], out=h[offset : offset + r - a])
+            offset += r - a
+        h[:, 0] += carry
+        np.cumsum(h, axis=1, out=h)
+        carry = h[:, -1].copy()
+        ks = np.arange(start + 1, stop + 1, dtype=float)
+        np.subtract(total, h, out=t)
+        t /= n - ks
+        h /= ks
+        h -= t
+        h *= h
+        np.matmul(weights, h, out=dist[start:stop])
+    return dist
+
+
+def _gram_distances(values: np.ndarray) -> np.ndarray:
+    """||S_k/k - (S-S_k)/(N-k)||_F^2 for k = 1..N-1 from H = (X X^T) squared elementwise.
+
+    ||S_k||^2 sums H over its leading k x k block and <S_k, S> sums its
+    first k rows.  H is symmetric, so only its lower triangle is built, one
+    block of rows at a time; the part of a row right of the diagonal is
+    collected from the column sums of the blocks below.
+    """
+    n = values.shape[0]
+    lower = np.empty(n)
+    upper = np.zeros(n)
+    diag = np.empty(n)
+    step = _block_len(8 * n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        h = values[start:stop] @ values[:stop].T
+        h *= h
+        diag[start:stop] = np.diagonal(h, offset=start)
+        h[:, start:] = np.tril(h[:, start:], -1)
+        lower[start:stop] = h.sum(axis=1)
+        upper[:stop] += h.sum(axis=0)
+    head_sq = np.cumsum(2.0 * lower + diag)[:-1]
+    head_dot = np.cumsum(lower + diag + upper)
+    total_sq = head_dot[-1]
+    ks = np.arange(1, n, dtype=float)
+    tail_n = n - ks
+    scale = 1.0 / ks + 1.0 / tail_n
+    dist = scale * scale * head_sq - 2.0 * scale / tail_n * head_dot[:-1] + total_sq / tail_n**2
+    # the expansion can cancel to a tiny negative where the distance is ~0
+    return np.maximum(dist, 0.0, out=dist)
 
 
 def objective_curve(sample, *, mode: str = "coeff") -> np.ndarray:
-    """CUSUM objective at every split index k = 1..N-1."""
+    """CUSUM objective f(k) at every split index k = 1..N-1.
+
+    f(k) = k(N-k)/N^2 * w^2 * ||S_k/k - (S-S_k)/(N-k)||_F^2, with S_k the sum
+    of the first k outer products.  The scan works in the smaller of the two
+    exact feature spaces: packed upper-triangle features when N > R(R+1)/2,
+    the N x N Gram form otherwise.  Either way it holds O(R^2 + N) floats plus
+    blocks of at most SCAN_BLOCK_BYTES, never an (N, R, R) array.
+    """
     values, mode = as_matrix(sample, mode)
-    weight = mode_weight(mode, values.shape[1])
-    outers = np.einsum("ni,nj->nij", values, values)
-    return objective_curve_from_outer_products(outers, weight)
+    n, r = values.shape
+    if n < 2:
+        raise ValueError("the objective needs at least two observations")
+    weight = mode_weight(mode, r)
+    if n > r * (r + 1) // 2:
+        dist_sq = weight**2 * _packed_distances(values)
+    else:
+        dist_sq = weight**2 * _gram_distances(values)
+    ks = np.arange(1, n)
+    return ks * (n - ks) / n**2 * dist_sq
 
 
 def cusum_objective(sample, k: int, *, mode: str = "coeff") -> float:

@@ -459,26 +459,37 @@ ANALYZE_CONFIG_KEYS = {
 }
 
 
-def apply_analyze_config(args, parser_defaults: dict) -> None:
-    """Fill analyze settings from a JSON config; explicit CLI flags win."""
-    with open(args.config, "r", encoding="utf-8") as fh:
+def apply_analyze_config(args, defaults: dict) -> None:
+    """Fill the analyze settings left off the command line.
+
+    Explicit flags win, then the JSON file named by ``--config``, then
+    ``defaults``.  Flags left unset are absent from ``args``.
+    """
+    settings = dict(defaults)
+    if getattr(args, "config", None):
+        settings.update(_read_analyze_config(args.config))
+    for key, value in settings.items():
+        if not hasattr(args, key):
+            setattr(args, key, value)
+
+
+def _read_analyze_config(path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON ({exc})") from exc
+            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        raise ValueError(f"{args.config}: config must be a JSON object")
+        raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(data) - set(ANALYZE_CONFIG_KEYS))
     if unknown:
         raise ValueError(
-            f"{args.config}: unknown analyze fields {unknown}; "
+            f"{path}: unknown analyze fields {unknown}; "
             f"valid fields are {sorted(ANALYZE_CONFIG_KEYS)}"
         )
-    for key, value in data.items():
-        if key == "angles":
-            value = [parse_float_or_pi(str(v)) for v in value]
-        if getattr(args, key, None) == parser_defaults.get(key):
-            setattr(args, key, value)
+    if "angles" in data:
+        data["angles"] = [parse_float_or_pi(str(v)) for v in data["angles"]]
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +553,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.config:
-        apply_analyze_config(args, args.parser_defaults)
+    apply_analyze_config(args, args.analyze_defaults)
     if not args.csv:
         raise ValueError("analyze needs --csv (or a config file providing 'csv')")
     pivot = _resolve_pivot(args.K, args.quantile_cache)
@@ -624,29 +634,42 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
-    a = sub.add_parser("analyze", help="analyze a daily-series CSV file")
-    a.add_argument("--csv", default=None)
-    a.add_argument("--config", default=None,
-                   help="JSON file providing any analyze setting; explicit flags win")
-    a.add_argument("--T", type=int, default=41)
-    a.add_argument("--epsilon", type=float, default=0.01)
+    # analyze flags left unset stay absent from the namespace, so that
+    # apply_analyze_config can tell them from explicit ones
+    a = sub.add_parser("analyze", help="analyze a daily-series CSV file",
+                       argument_default=argparse.SUPPRESS)
+    a.add_argument("--csv")
+    a.add_argument("--config", help="JSON file providing any analyze setting; explicit flags win")
+    a.add_argument("--T", type=int)
+    a.add_argument("--epsilon", type=float)
     a.add_argument("--angles", type=_angle_list,
-                   default=list(DEFAULT_ANGLES),
                    help="comma-separated angles, pi expressions allowed (default pi/16,pi/8,pi/4,2pi/5)")
-    a.add_argument("--j-fun", type=int, default=5, dest="j_fun")
-    a.add_argument("--j-val", type=int, default=12, dest="j_val")
-    a.add_argument("--divisors", type=_int_list, default=list(DEFAULT_DIVISORS))
-    a.add_argument("--alphas", type=_float_list, default=list(DEFAULT_ALPHAS))
-    a.add_argument("--K", type=int, default=DEFAULT_K)
-    a.add_argument("--min-days", type=int, default=DEFAULT_MIN_DAYS, dest="min_days")
+    a.add_argument("--j-fun", type=int, dest="j_fun")
+    a.add_argument("--j-val", type=int, dest="j_val")
+    a.add_argument("--divisors", type=_int_list)
+    a.add_argument("--alphas", type=_float_list)
+    a.add_argument("--K", type=int)
+    a.add_argument("--min-days", type=int, dest="min_days")
     a.add_argument("--center-cusum", action="store_true", dest="center_cusum",
                    help="subtract the global mean before the change-point scan")
-    a.add_argument("--quantile-cache", default=None, dest="quantile_cache")
-    a.add_argument("--out-dir", default=default_out)
+    a.add_argument("--quantile-cache", dest="quantile_cache")
+    a.add_argument("--out-dir")
     analyze_defaults = {
-        key: a.get_default(key) for key in ANALYZE_CONFIG_KEYS
+        "csv": None,
+        "T": 41,
+        "epsilon": 0.01,
+        "angles": list(DEFAULT_ANGLES),
+        "j_fun": 5,
+        "j_val": 12,
+        "divisors": list(DEFAULT_DIVISORS),
+        "alphas": list(DEFAULT_ALPHAS),
+        "K": DEFAULT_K,
+        "min_days": DEFAULT_MIN_DAYS,
+        "center_cusum": False,
+        "quantile_cache": None,
+        "out_dir": default_out,
     }
-    a.set_defaults(func=_cmd_analyze, parser_defaults=analyze_defaults)
+    a.set_defaults(func=_cmd_analyze, analyze_defaults=analyze_defaults)
 
     return parser
 

@@ -46,6 +46,8 @@ from eigenbreak.selfnorm import (
 )
 from eigenbreak.cli import run_analysis, write_daily_csv
 
+pytestmark = pytest.mark.acceptance
+
 TAU21 = 1.0 / np.arange(1, 22) ** 2
 
 PIVOT_TABLE = {

@@ -1,14 +1,35 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigenbreak import changepoint
 from eigenbreak.changepoint import (
     cusum_objective,
     estimate_changepoint,
     objective_curve,
-    objective_curve_from_outer_products,
     search_range,
 )
 from eigenbreak.datagen import DGPSpec, generate, population_kernels
+from eigenbreak.funcspace import fourier_basis
+
+# exact identities of the objective; few derandomized examples keep them cheap
+PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
+FORMS = ("packed", "gram")
+
+
+@st.composite
+def samples(draw, form):
+    """(N, R) sample scanned by the given form: packed when N > R(R+1)/2, else Gram."""
+    r = draw(st.integers(1, 5) if form == "packed" else st.integers(3, 6))
+    n_feat = r * (r + 1) // 2
+    n = draw(st.integers(n_feat + 1, n_feat + 30) if form == "packed"
+             else st.integers(4, n_feat))
+    rng = np.random.default_rng(draw(SEEDS))
+    return rng.standard_normal((n, r))
 
 
 def brute_force_objective(values, k):
@@ -32,16 +53,26 @@ def test_identical_observations_give_zero_objective():
     values = np.tile(np.array([1.0, -2.0, 0.5]), (12, 1))
     curve = objective_curve(values, mode="coeff")
     np.testing.assert_allclose(curve, np.zeros(11), atol=1e-15)
+    # four rows of three features are scanned in Gram form, whose expanded
+    # squares cancel only to rounding; the clamp keeps the result non-negative
+    values = np.tile(np.array([0.3, 0.7, -1.1]), (4, 1))
+    curve = objective_curve(values, mode="coeff")
+    assert (curve >= 0.0).all()
+    np.testing.assert_allclose(curve, np.zeros(3), atol=1e-13)
 
 
-def test_streaming_matches_brute_force():
-    rng = np.random.default_rng(29)
-    for n in range(4, 21):
-        values = rng.standard_normal((n, 3))
-        curve = objective_curve(values, mode="coeff")
-        for k in range(1, n):
-            assert curve[k - 1] == pytest.approx(brute_force_objective(values, k), abs=1e-10)
-            assert cusum_objective(values, k) == pytest.approx(curve[k - 1], abs=1e-12)
+def test_streaming_matches_brute_force(monkeypatch):
+    # N <= 6 is scanned in Gram form, larger N in packed form; the
+    # one-observation blocks exercise the carry between blocks
+    for block_bytes in (changepoint.SCAN_BLOCK_BYTES, 1):
+        monkeypatch.setattr(changepoint, "SCAN_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(29)
+        for n in range(4, 21):
+            values = rng.standard_normal((n, 3))
+            curve = objective_curve(values, mode="coeff")
+            for k in range(1, n):
+                assert curve[k - 1] == pytest.approx(brute_force_objective(values, k), abs=1e-10)
+                assert cusum_objective(values, k) == pytest.approx(curve[k - 1], abs=1e-12)
 
 
 def test_objective_k_range_validation():
@@ -53,13 +84,18 @@ def test_objective_k_range_validation():
 
 
 def test_deterministic_population_break_is_located_exactly():
-    # feed the objective the noiseless second-moment sequence: kernel c1
-    # before the break, c2 after; the argmax must sit at the break
-    spec = DGPSpec(N=40, break_kind="eigenvalue_shift", magnitude=0.9)
-    c1, c2 = population_kernels(spec)
-    outers = np.stack([c1.matrix] * 20 + [c2.matrix] * 20)
-    curve = objective_curve_from_outer_products(outers, weight=1.0)
-    assert int(np.argmax(curve)) + 1 == 20
+    # noiseless observations: each period of R rows is the scaled eigenvectors
+    # sqrt(R tau_i) v_i of c1 (mean outer product exactly c1), then of c2;
+    # 2R + 2R rows are scanned in packed form at R=5 and in Gram form at R=21
+    for order in (5, 21):
+        spec = DGPSpec(N=40, T=order, break_kind="eigenvalue_shift", magnitude=0.9)
+        periods = []
+        for kernel in population_kernels(spec):
+            tau, vectors = np.linalg.eigh(kernel.matrix)
+            periods.append((np.sqrt(order * tau) * vectors).T)
+        values = np.vstack([periods[0]] * 2 + [periods[1]] * 2)
+        curve = objective_curve(values)
+        assert int(np.argmax(curve)) + 1 == 2 * order
 
 
 def test_estimate_respects_search_bounds():
@@ -89,14 +125,69 @@ def test_estimate_validation():
         estimate_changepoint(np.ones((3, 2)), 0.05)
 
 
-def test_objective_is_sign_invariant():
-    rng = np.random.default_rng(37)
-    values = rng.standard_normal((15, 4))
-    np.testing.assert_allclose(
-        objective_curve(values, mode="coeff"),
-        objective_curve(-values, mode="coeff"),
-        atol=1e-14,
-    )
+@PROPERTY
+@given(data=st.data())
+def test_objective_is_sign_invariant(data):
+    for form in FORMS:
+        values = data.draw(samples(form))
+        flips = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                            min_size=len(values), max_size=len(values))))
+        np.testing.assert_array_equal(
+            objective_curve(values, mode="coeff"),
+            objective_curve(flips[:, None] * values, mode="coeff"),
+        )
+
+
+@PROPERTY
+@given(data=st.data())
+def test_objective_is_invariant_under_orthogonal_basis_change(data):
+    for form in FORMS:
+        values = data.draw(samples(form))
+        rng = np.random.default_rng(data.draw(SEEDS))
+        q, _ = np.linalg.qr(rng.standard_normal((values.shape[1],) * 2))
+        curve = objective_curve(values)
+        np.testing.assert_allclose(objective_curve(values @ q), curve,
+                                   rtol=1e-10, atol=1e-10 * curve.max())
+
+
+@PROPERTY
+@given(data=st.data(), scale=st.floats(0.1, 10.0))
+def test_objective_scales_with_fourth_power(data, scale):
+    for form in FORMS:
+        values = data.draw(samples(form))
+        curve = objective_curve(values)
+        np.testing.assert_allclose(objective_curve(scale * values), scale**4 * curve,
+                                   rtol=1e-10, atol=1e-10 * scale**4 * curve.max())
+
+
+@PROPERTY
+@given(n=st.integers(7, 28), grid=st.integers(7, 12), seed=SEEDS)
+def test_coeff_and_grid_modes_agree_on_fourier_samples(n, grid, seed):
+    # order 3 has 6 packed features, so the coefficients are scanned packed
+    # and their grid values (at least 28 packed features) in Gram form
+    coeffs = np.random.default_rng(seed).standard_normal((n, 3))
+    values = coeffs @ fourier_basis(3, grid).eval_matrix.T
+    curve = objective_curve(coeffs, mode="coeff")
+    np.testing.assert_allclose(objective_curve(values, mode="grid"), curve,
+                               rtol=1e-10, atol=1e-10 * curve.max())
+
+
+@pytest.mark.parametrize("shape, mode", [
+    ((2000, 21), "coeff"),
+    ((400, 200), "grid"),
+    ((2000, 365), "grid"),
+])
+def test_objective_memory_is_bounded(shape, mode):
+    # an (N, R, R) array of outer products would take N*R^2*8 bytes:
+    # 7 MB, 128 MB and 2.1 GB here
+    values = np.random.default_rng(43).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        objective_curve(values, mode=mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_wider_trim_never_attains_more():

@@ -329,12 +329,13 @@ def test_analyze_config_file(tmp_path):
         "quantile_cache": str(cache),
         "out_dir": str(tmp_path / "cfg_out"),
     }))
-    # the explicit flag overrides the config value
-    rc = main(["analyze", "--config", str(cfg), "--j-val", "2"])
+    # explicit flags override the config values, also when a flag repeats
+    # its parser default (--j-fun 5); settings left unset come from the file
+    rc = main(["analyze", "--config", str(cfg), "--j-val", "2", "--j-fun", "5"])
     assert rc == 0
     report = json.loads((tmp_path / "cfg_out" / "report.json").read_text())
     assert report["settings"]["order"] == 5
-    assert report["settings"]["j_fun"] == 2
+    assert report["settings"]["j_fun"] == 5
     assert report["settings"]["j_val"] == 2
     assert report["settings"]["angles"] == pytest.approx([math.pi / 8, math.pi / 4])
 
