@@ -237,9 +237,7 @@ def _resolve_pivot(K: int, cache_path) -> PivotDistribution:
                     f"quantile cache {cache_path} was built for K={pivot.K}, need K={K}"
                 )
             return pivot
-        pivot = simulate_pivot(K, DEFAULT_PIVOT_REPLICATES, DEFAULT_PIVOT_SEED)
-        pivot.save(cache_path)
-        return pivot
+        default_pivot(K).save(cache_path)
     return default_pivot(K)
 
 

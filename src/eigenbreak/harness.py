@@ -9,13 +9,12 @@ so results are reproducible and identical for any worker count.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -27,10 +26,11 @@ from .selfnorm import (
     DEFAULT_PIVOT_REPLICATES,
     DEFAULT_PIVOT_SEED,
     NuMeasure,
+    cached_pivot,
     decide,
     diff_path,
+    seed_pivot_cache,
     self_normalizer,
-    simulate_pivot,
 )
 
 __all__ = [
@@ -191,11 +191,6 @@ class EpsilonSweep:
                     )
 
 
-@functools.lru_cache(maxsize=8)
-def _pivot_for(K: int, R: int, seed: int):
-    return simulate_pivot(K, R, seed)
-
-
 def _magnitude_bits(magnitude: float) -> int:
     return int.from_bytes(struct.pack("<d", float(magnitude)), "little")
 
@@ -221,7 +216,7 @@ def run_replicate(config: ExperimentConfig, n_obs: int, magnitude: float,
         nu = NuMeasure(config.K)
         path = diff_path(split, config.j, nu, config.test_kind, center=config.center)
         normalizer = self_normalizer(path, nu)
-        pivot = _pivot_for(config.K, config.pivot_replicates, config.pivot_seed)
+        pivot = cached_pivot(config.K, config.pivot_replicates, config.pivot_seed)
         result = decide(path, normalizer, config.delta, pivot, config.alpha, "relevant")
         return result.decision == "reject", estimate.theta_hat
     except Exception as exc:
@@ -249,7 +244,9 @@ def cell_outcomes(config: ExperimentConfig, n_obs: int, magnitude: float,
     """Rejections and change-point estimates of every replicate of one cell.
 
     The replicate order of the output is fixed by replicate index, so the
-    result does not depend on the worker count.
+    result does not depend on the worker count.  A pool's workers receive
+    this process's cached pivot through the pool initializer instead of
+    simulating their own.
     """
     reps = config.replicates
     chunks = [
@@ -260,7 +257,9 @@ def cell_outcomes(config: ExperimentConfig, n_obs: int, magnitude: float,
     if n_workers == 1 or len(chunks) == 1:
         results = [_run_chunk(chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        pivot = cached_pivot(config.K, config.pivot_replicates, config.pivot_seed)
+        with ProcessPoolExecutor(max_workers=n_workers, initializer=seed_pivot_cache,
+                                 initargs=(pivot,)) as pool:
             results = list(pool.map(_run_chunk, chunks))
     flat = [item for chunk in results for item in chunk]
     rejects = np.array([r for r, _ in flat], dtype=bool)
@@ -268,22 +267,11 @@ def cell_outcomes(config: ExperimentConfig, n_obs: int, magnitude: float,
     return rejects, thetas
 
 
-def run_experiment(config: ExperimentConfig, workers: int | None = None) -> RejectionTable:
-    """Tabulate rejection rates over the full (N, magnitude) grid.
-
-    Parameters
-    ----------
-    config : ExperimentConfig
-        Experiment recipe; its seed fixes every replicate.
-    workers : int, optional
-        Process count; None uses the machine's CPU count, 0 or 1 runs
-        serially.  The table is identical for every choice.
-
-    Returns
-    -------
-    RejectionTable
-    """
+def _tabulate(config: ExperimentConfig,
+              workers: int | None) -> tuple[RejectionTable, list[np.ndarray]]:
+    """Rejection table of every (N, magnitude) cell, plus each cell's theta_hat."""
     rows = []
+    cell_thetas = []
     chash = config.config_hash()
     for n_obs in config.n_list:
         for magnitude in config.magnitudes:
@@ -301,7 +289,26 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Reje
                     config_hash=chash,
                 )
             )
-    return RejectionTable(rows=tuple(rows), config=config)
+            cell_thetas.append(thetas)
+    return RejectionTable(rows=tuple(rows), config=config), cell_thetas
+
+
+def run_experiment(config: ExperimentConfig, workers: int | None = None) -> RejectionTable:
+    """Tabulate rejection rates over the full (N, magnitude) grid.
+
+    Parameters
+    ----------
+    config : ExperimentConfig
+        Experiment recipe; its seed fixes every replicate.
+    workers : int, optional
+        Process count; None uses the machine's CPU count, 0 or 1 runs
+        serially.  The table is identical for every choice.
+
+    Returns
+    -------
+    RejectionTable
+    """
+    return _tabulate(config, workers)[0]
 
 
 def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None,
@@ -324,34 +331,17 @@ def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None
     tables = []
     histograms = []
     for eps in epsilons:
-        cfg = ExperimentConfig(**{**asdict(config), "epsilon": float(eps)})
-        rows = []
-        chash = cfg.config_hash()
-        for n_obs in cfg.n_list:
-            for magnitude in cfg.magnitudes:
-                rejects, thetas = cell_outcomes(cfg, n_obs, magnitude, workers)
-                rate = float(rejects.mean())
-                rows.append(
-                    RejectionRow(
-                        n_obs=n_obs,
-                        magnitude=float(magnitude),
-                        rate=rate,
-                        se=float(np.sqrt(rate * (1.0 - rate) / cfg.replicates)),
-                        mean_theta_hat=float(thetas.mean()),
-                        replicates=cfg.replicates,
-                        master_seed=cfg.seed,
-                        config_hash=chash,
-                    )
+        table, cell_thetas = _tabulate(replace(config, epsilon=float(eps)), workers)
+        tables.append((float(eps), table))
+        for row, thetas in zip(table.rows, cell_thetas):
+            counts, edges = np.histogram(thetas, bins=hist_bins, range=(0.0, 1.0))
+            histograms.append(
+                HistogramData(
+                    epsilon=float(eps),
+                    n_obs=row.n_obs,
+                    magnitude=row.magnitude,
+                    counts=counts,
+                    edges=edges,
                 )
-                counts, edges = np.histogram(thetas, bins=hist_bins, range=(0.0, 1.0))
-                histograms.append(
-                    HistogramData(
-                        epsilon=float(eps),
-                        n_obs=n_obs,
-                        magnitude=float(magnitude),
-                        counts=counts,
-                        edges=edges,
-                    )
-                )
-        tables.append((float(eps), RejectionTable(rows=tuple(rows), config=cfg)))
+            )
     return EpsilonSweep(tables=tuple(tables), histograms=tuple(histograms))

@@ -11,8 +11,7 @@ Brownian-motion functionals whose distribution is tabulated by Monte Carlo.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +25,8 @@ __all__ = [
     "TestResult",
     "PivotDistribution",
     "simulate_pivot",
+    "cached_pivot",
+    "seed_pivot_cache",
     "default_pivot",
     "sequential_eigensystem_paths",
     "eigenvalue_diff_path",
@@ -45,6 +46,7 @@ DEGENERATE_NORMALIZER = 1e-12
 
 _PIVOT_CHUNK = 100_000
 _CACHE_GRID = 10_000
+_PIVOT_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -114,19 +116,36 @@ class TestResult:
 
 @dataclass(frozen=True)
 class PivotDistribution:
-    """Sorted Monte-Carlo sample of the limiting pivot statistic."""
+    """Sorted Monte-Carlo sample of the limiting pivot statistic.
+
+    The sample is a read-only copy of the one given, so the quantiles
+    memoized per probability cannot go stale.
+    """
 
     K: int
     sample: np.ndarray
     seed: int
     r_total: int
+    _quantiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        sample = np.array(self.sample)
+        sample.flags.writeable = False
+        object.__setattr__(self, "sample", sample)
+
+    def __reduce__(self):
+        # rebuild through __init__, so an unpickled sample is read-only too
+        return (type(self), (self.K, self.sample, self.seed, self.r_total))
 
     @property
     def R(self) -> int:
         return self.r_total
 
     def quantile(self, p: float) -> float:
-        return float(np.quantile(self.sample, p))
+        value = self._quantiles.get(p)
+        if value is None:
+            value = self._quantiles[p] = float(np.quantile(self.sample, p))
+        return value
 
     def prob_leq(self, x: float) -> float:
         """Empirical probability that the pivot is <= x."""
@@ -216,10 +235,42 @@ def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
     return PivotDistribution(K=K, sample=out, seed=seed, r_total=R)
 
 
-@functools.lru_cache(maxsize=8)
+#: process-local pivots keyed by (K, R, seed), oldest evicted first
+_PIVOTS: dict[tuple[int, int, int], PivotDistribution] = {}
+
+
+def seed_pivot_cache(pivot: PivotDistribution) -> None:
+    """Serve a simulated pivot from this process's cache under its (K, R, seed).
+
+    Pool workers run this as their initializer with the parent's pivot, so
+    no worker simulates one.  Only a full simulated sample is accepted: a
+    quantile summary loaded from a cache file must not stand in for it.
+    """
+    if pivot.sample.size != pivot.R:
+        raise ValueError(
+            f"only a full simulated pivot can be cached; this one holds "
+            f"{pivot.sample.size} of R={pivot.R} draws"
+        )
+    key = (pivot.K, pivot.R, pivot.seed)
+    _PIVOTS.pop(key, None)
+    if len(_PIVOTS) >= _PIVOT_CACHE_SIZE:
+        del _PIVOTS[next(iter(_PIVOTS))]
+    _PIVOTS[key] = pivot
+
+
+def cached_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
+                 seed: int = DEFAULT_PIVOT_SEED) -> PivotDistribution:
+    """Process-local pivot sample, simulated on the first request for (K, R, seed)."""
+    pivot = _PIVOTS.get((K, R, seed))
+    if pivot is None:
+        pivot = simulate_pivot(K, R, seed)
+        seed_pivot_cache(pivot)
+    return pivot
+
+
 def default_pivot(K: int = DEFAULT_K) -> PivotDistribution:
     """Process-local cached pivot sample at the shipped defaults."""
-    return simulate_pivot(K, DEFAULT_PIVOT_REPLICATES, DEFAULT_PIVOT_SEED)
+    return cached_pivot(K)
 
 
 @dataclass(frozen=True)

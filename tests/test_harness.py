@@ -1,6 +1,11 @@
+import hashlib
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
+from eigenbreak import harness, selfnorm
 from eigenbreak.harness import (
     ExperimentConfig,
     angle_for_distance_sq,
@@ -126,3 +131,50 @@ def test_epsilon_sweep_histograms(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "epsilon,N,magnitude,bin_left,bin_right,count"
     assert len(lines) == 1 + 2 * 20
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_table_and_sweep_bytes_are_golden(tmp_path):
+    # digests recorded before run_experiment and epsilon_sweep shared one cell loop
+    config = ExperimentConfig(**{**SMALL, "magnitudes": (0.1, 0.4), "n_list": (60, 120),
+                                 "replicates": 16, "seed": 11})
+    table = run_experiment(config, workers=1)
+    table.to_csv(tmp_path / "table.csv")
+    table.to_json(tmp_path / "table.json")
+    sweep = epsilon_sweep(config, [0.0, 0.05], workers=1)
+    sweep.histograms_to_csv(tmp_path / "histograms.csv")
+    for eps, eps_table in sweep.tables:
+        eps_table.to_csv(tmp_path / f"sweep_{eps}.csv")
+    assert sha256(tmp_path / "table.csv") == (
+        "f1801946670ee6ac3547d8ab60f28e0ab208d04b58d72ae50226537d78a68778")
+    assert sha256(tmp_path / "table.json") == (
+        "610da60d92c0e06c381262cae749fa208284edfdbce1ec81b7df1a25e8d9e01a")
+    assert sha256(tmp_path / "histograms.csv") == (
+        "e7b6aaff02087e26be10894a2d4e07814c2044038db4a7a7cc8e3fbbbb9ffda4")
+    assert sha256(tmp_path / "sweep_0.0.csv") == (
+        "a19e9c4ccfc957303c5f93b2448cc69e6aca41383618b3543a84e797019930ca")
+    assert sha256(tmp_path / "sweep_0.05.csv") == sha256(tmp_path / "table.csv")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the counting wrapper")
+def test_pool_workers_reuse_the_parent_pivot(tmp_path, monkeypatch):
+    builds = tmp_path / "builds.txt"
+    simulate = selfnorm.simulate_pivot
+
+    def counting_simulate(*args, **kwargs):
+        with open(builds, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(selfnorm, "simulate_pivot", counting_simulate)
+    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    # two chunks per cell, so each cell starts a pool
+    monkeypatch.setattr(harness, "_CHUNK", 4)
+    config = ExperimentConfig(**{**SMALL, "magnitudes": (0.1, 0.4), "replicates": 8})
+    pooled = run_experiment(config, workers=2)
+    assert builds.read_text().split() == [str(os.getpid())]
+    assert run_experiment(config, workers=1).rows == pooled.rows

@@ -1,6 +1,11 @@
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eigenbreak import selfnorm
 from eigenbreak.covkern import SplitSample
 from eigenbreak.datagen import DGPSpec, generate, population_kernels
 from eigenbreak.eigensys import aligned_distance, eigendecompose
@@ -12,12 +17,18 @@ from eigenbreak.selfnorm import (
     diff_path,
     eigenfunction_diff_path,
     eigenvalue_diff_path,
+    cached_pivot,
+    default_pivot,
+    seed_pivot_cache,
     self_normalizer,
     sequential_eigensystem_paths,
     simulate_pivot,
 )
 
 NU = NuMeasure(20)
+# exact identities of the method; few derandomized examples keep them cheap
+PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def make_path(values, kind="eigenvalue", j=1):
@@ -269,3 +280,126 @@ def test_gap_warning_propagates_to_result(pivot):
     assert any("gap" in w for w in path.warnings)
     result = decide(path, self_normalizer(path, NU), 0.1, pivot, 0.05)
     assert any("gap" in w for w in result.warnings)
+
+
+def test_quantile_memo_returns_the_computed_quantile(tmp_path, pivot):
+    pivot.save(tmp_path / "pivot.csv")
+    loaded = PivotDistribution.load(tmp_path / "pivot.csv")
+    probs = (0.95, 0.05, 0.95, 0.5, 0.05, 0.99, 0.95)
+    for dist in (simulate_pivot(20, 30_000, 5), loaded):
+        for p in probs:
+            assert dist.quantile(p) == float(np.quantile(dist.sample, p))
+
+
+def test_pivot_with_filled_memo_survives_pickle(pivot):
+    probs = (0.01, 0.5, 0.95)
+    before = [pivot.quantile(p) for p in probs]
+    copy = pickle.loads(pickle.dumps(pivot))
+    assert (copy.K, copy.R, copy.seed) == (pivot.K, pivot.R, pivot.seed)
+    np.testing.assert_array_equal(copy.sample, pivot.sample)
+    assert [copy.quantile(p) for p in probs] == before
+    assert not copy.sample.flags.writeable
+
+
+def test_pivot_sample_is_read_only(tmp_path, pivot):
+    pivot.save(tmp_path / "pivot.csv")
+    given_sample = np.sort(np.random.default_rng(4).standard_normal(100))
+    direct = PivotDistribution(K=20, sample=given_sample, seed=0, r_total=100)
+    for dist in (pivot, PivotDistribution.load(tmp_path / "pivot.csv"), direct):
+        with pytest.raises(ValueError, match="read-only"):
+            dist.sample[0] = 0.0
+    # the pivot keeps its own copy: the caller's array stays writeable and
+    # writing to it changes no memoized quantile
+    q = direct.quantile(0.5)
+    given_sample[:] = 0.0
+    assert direct.quantile(0.5) == q == float(np.quantile(direct.sample, 0.5))
+
+
+def test_one_process_cache_serves_every_pivot(monkeypatch):
+    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    pivot = cached_pivot(3, 2_000, 9)
+    assert cached_pivot(3, 2_000, 9) is pivot
+    assert cached_pivot(3, 2_000, 10) is not pivot
+    assert default_pivot(3) is cached_pivot(3)
+    own = simulate_pivot(4, 1_000, 1)
+    seed_pivot_cache(own)
+    assert cached_pivot(4, 1_000, 1) is own
+
+
+def test_pivot_cache_refuses_a_quantile_summary(tmp_path, pivot):
+    pivot.save(tmp_path / "pivot.csv")
+    with pytest.raises(ValueError, match="full simulated pivot"):
+        seed_pivot_cache(PivotDistribution.load(tmp_path / "pivot.csv"))
+
+
+@st.composite
+def split_samples(draw):
+    """(N, R) sample, its split index and an eigen index.
+
+    Each segment's smallest sub-sample (lambda = 1/20) holds more than R
+    observations, so its eigenfunctions are determined up to sign.
+    """
+    r = draw(st.integers(2, 4))
+    n1, n2 = (draw(st.integers(20 * (r + 1), 20 * (r + 1) + 60)) for _ in range(2))
+    j = draw(st.integers(1, r - 1))
+    values = np.random.default_rng(draw(SEEDS)).standard_normal((n1 + n2, r))
+    return values, n1, j
+
+
+def eigen_statistics(values, k, j):
+    """Sequential eigenvalues and both difference paths with their normalizers."""
+    paths = sequential_eigensystem_paths(SplitSample.at_index(values, k), j, NU)
+    val = eigenvalue_diff_path(paths, j)
+    fun = eigenfunction_diff_path(paths, j)
+    return {
+        "values1": paths.values1,
+        "values2": paths.values2,
+        "eigenvalue_path": val.values,
+        "eigenvalue_normalizer": self_normalizer(val, NU),
+        "eigenfunction_path": fun.values,
+        "eigenfunction_normalizer": self_normalizer(fun, NU),
+    }
+
+
+def assert_statistics_close(actual, expected, scales):
+    for name, scale in scales.items():
+        ref = np.asarray(expected[name]) * scale
+        np.testing.assert_allclose(actual[name], ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max(), err_msg=name)
+
+
+UNCHANGED = dict.fromkeys(("values1", "values2", "eigenvalue_path", "eigenvalue_normalizer",
+                           "eigenfunction_path", "eigenfunction_normalizer"), 1.0)
+
+
+@PROPERTY
+@given(sample=split_samples(), seed=SEEDS)
+def test_eigen_statistics_are_invariant_under_orthogonal_basis_change(sample, seed):
+    values, k, j = sample
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((values.shape[1],) * 2))
+    assert_statistics_close(eigen_statistics(values @ q, k, j), eigen_statistics(values, k, j),
+                            UNCHANGED)
+
+
+@PROPERTY
+@given(sample=split_samples(), data=st.data())
+def test_eigen_statistics_are_invariant_under_sign_flips(sample, data):
+    values, k, j = sample
+    flips = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                        min_size=len(values), max_size=len(values))))
+    assert_statistics_close(eigen_statistics(flips[:, None] * values, k, j),
+                            eigen_statistics(values, k, j), UNCHANGED)
+
+
+@PROPERTY
+@given(sample=split_samples(), c=st.floats(0.1, 10.0))
+def test_eigen_statistics_scale_with_the_data(sample, c):
+    values, k, j = sample
+    assert_statistics_close(eigen_statistics(c * values, k, j), eigen_statistics(values, k, j), {
+        "values1": c**2,
+        "values2": c**2,
+        "eigenvalue_path": c**4,
+        "eigenvalue_normalizer": c**4,
+        "eigenfunction_path": 1.0,
+        "eigenfunction_normalizer": 1.0,
+    })
