@@ -259,6 +259,8 @@ def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
 
     Returns the report dictionary; files are written when ``out_dir`` is set.
     """
+    if any(d <= 0 for d in divisors):
+        raise ValueError(f"eigenvalue threshold divisors must be positive, got {list(divisors)}")
     alphas = tuple(sorted(alphas, reverse=True))
     ingest = ingest_daily(csv_path, order, min_days)
     n_years = ingest.series.n_obs
@@ -395,13 +397,8 @@ def _write_segment_eigendata(out_dir, basis, pre_system, post_system) -> None:
 # experiment config files
 
 
-def load_experiment_config(path, overrides: dict | None = None) -> tuple[ExperimentConfig, list[float] | None]:
-    """Read a JSON experiment config; returns (config, epsilons or None).
-
-    The file holds the fields of ExperimentConfig; an optional extra key
-    ``epsilons`` requests a boundary-trim sweep.  Unknown keys and invalid
-    values are reported by name.
-    """
+def _read_json_object(path, known, label: str) -> dict:
+    """Parse a JSON config file that must hold an object with keys from ``known``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -409,16 +406,29 @@ def load_experiment_config(path, overrides: dict | None = None) -> tuple[Experim
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown {label} fields {unknown}; valid fields are {sorted(known)}"
+        )
+    return data
+
+
+def load_experiment_config(path, overrides: dict | None = None) -> tuple[ExperimentConfig, list[float] | None]:
+    """Read a JSON experiment config; returns (config, epsilons or None).
+
+    The file holds the fields of ExperimentConfig; an optional extra key
+    ``epsilons`` requests a boundary-trim sweep.  Unknown keys and invalid
+    values are reported by name.
+    """
+    data = _read_json_object(path, {f.name for f in fields(ExperimentConfig)} | {"epsilons"},
+                             "config")
     epsilons = data.pop("epsilons", None)
     if epsilons is not None and (
         not isinstance(epsilons, list) or not epsilons
         or not all(isinstance(e, (int, float)) for e in epsilons)
     ):
         raise ValueError(f"{path}: field 'epsilons' must be a nonempty list of numbers")
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(f"{path}: unknown config fields {unknown}; valid fields are {sorted(known)}")
     for name in ("magnitudes", "n_list", "tau"):
         if name in data and isinstance(data[name], list):
             data[name] = tuple(data[name])
@@ -440,20 +450,23 @@ def _shipped_config_path(name: str):
     return candidate if candidate.is_file() else None
 
 
-ANALYZE_CONFIG_KEYS = {
-    "csv": str,
-    "T": int,
-    "epsilon": float,
-    "angles": None,
-    "j_fun": int,
-    "j_val": int,
-    "divisors": None,
-    "alphas": None,
-    "K": int,
-    "min_days": int,
-    "center_cusum": bool,
-    "quantile_cache": str,
-    "out_dir": str,
+#: analyze settings: name -> (type of a config file value, default); list
+#: settings have no declared type, and the parser sets the ``out_dir``
+#: default from $EIGENBREAK_OUT_DIR (else ".")
+ANALYZE_SETTINGS = {
+    "csv": (str, None),
+    "T": (int, 41),
+    "epsilon": (float, 0.01),
+    "angles": (None, DEFAULT_ANGLES),
+    "j_fun": (int, 5),
+    "j_val": (int, 12),
+    "divisors": (None, DEFAULT_DIVISORS),
+    "alphas": (None, DEFAULT_ALPHAS),
+    "K": (int, DEFAULT_K),
+    "min_days": (int, DEFAULT_MIN_DAYS),
+    "center_cusum": (bool, False),
+    "quantile_cache": (str, None),
+    "out_dir": (str, None),
 }
 
 
@@ -472,19 +485,16 @@ def apply_analyze_config(args, defaults: dict) -> None:
 
 
 def _read_analyze_config(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(data) - set(ANALYZE_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(
-            f"{path}: unknown analyze fields {unknown}; "
-            f"valid fields are {sorted(ANALYZE_CONFIG_KEYS)}"
-        )
+    data = _read_json_object(path, ANALYZE_SETTINGS, "analyze")
+    for key, value in data.items():
+        kind = ANALYZE_SETTINGS[key][0]
+        if kind is None:
+            continue
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+            raise ValueError(
+                f"{path}: analyze field {key!r} must be of type {kind.__name__}, got {value!r}"
+            )
     if "angles" in data:
         data["angles"] = [parse_float_or_pi(str(v)) for v in data["angles"]]
     return data
@@ -652,21 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subtract the global mean before the change-point scan")
     a.add_argument("--quantile-cache", dest="quantile_cache")
     a.add_argument("--out-dir")
-    analyze_defaults = {
-        "csv": None,
-        "T": 41,
-        "epsilon": 0.01,
-        "angles": list(DEFAULT_ANGLES),
-        "j_fun": 5,
-        "j_val": 12,
-        "divisors": list(DEFAULT_DIVISORS),
-        "alphas": list(DEFAULT_ALPHAS),
-        "K": DEFAULT_K,
-        "min_days": DEFAULT_MIN_DAYS,
-        "center_cusum": False,
-        "quantile_cache": None,
-        "out_dir": default_out,
-    }
+    analyze_defaults = {key: default for key, (_, default) in ANALYZE_SETTINGS.items()}
+    analyze_defaults["out_dir"] = default_out
     a.set_defaults(func=_cmd_analyze, analyze_defaults=analyze_defaults)
 
     return parser

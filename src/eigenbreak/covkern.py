@@ -23,8 +23,8 @@ __all__ = [
     "SplitSample",
     "as_matrix",
     "prefix_count",
+    "prefix_moments",
     "sequential_kernel",
-    "sequential_kernel_path",
     "kernel_distance_sq",
 ]
 
@@ -100,6 +100,29 @@ def _build_kernel(matrix: np.ndarray, mode: str) -> CovKernel:
     return CovKernel(matrix=matrix, mode=mode, weight=mode_weight(mode, matrix.shape[0]))
 
 
+def prefix_moments(values: np.ndarray, counts) -> np.ndarray:
+    """Stack of ``values[:m].T @ values[:m] / m`` for each m in ``counts``.
+
+    The counts must not decrease and must lie in [0, n] for an (n, R) array
+    of rows; a zero count gives the zero matrix.  One pass over the rows
+    fills the (len(counts), R, R) result.
+    """
+    n, r = values.shape
+    out = np.zeros((len(counts), r, r))
+    acc = np.zeros((r, r))
+    done = 0
+    for i, m in enumerate(counts):
+        if not done <= m <= n:
+            raise ValueError(f"prefix counts must not decrease and lie in [0, {n}]")
+        if m > done:
+            block = values[done:m]
+            acc += block.T @ block
+            done = m
+        if m:
+            np.divide(acc, m, out=out[i])
+    return out
+
+
 def sequential_kernel(segment, lam: float, *, mode: str = "coeff",
                       center: bool = False) -> CovKernel:
     """Second-moment kernel of the first floor(n*lambda) segment members.
@@ -127,35 +150,7 @@ def sequential_kernel(segment, lam: float, *, mode: str = "coeff",
         raise ValueError("segment must contain at least one function")
     if center:
         values = values - values.mean(axis=0)
-    m = prefix_count(n, lam)
-    if m == 0:
-        return _build_kernel(np.zeros((values.shape[1],) * 2), mode)
-    head = values[:m]
-    return _build_kernel(head.T @ head / m, mode)
-
-
-def sequential_kernel_path(segment, lams, *, mode: str = "coeff",
-                           center: bool = False) -> list[CovKernel]:
-    """Sequential kernels at several lambda values in one accumulation pass."""
-    values, mode = as_matrix(segment, mode)
-    n = values.shape[0]
-    if n < 1:
-        raise ValueError("segment must contain at least one function")
-    if center:
-        values = values - values.mean(axis=0)
-    counts = [prefix_count(n, lam) for lam in lams]
-    r = values.shape[1]
-    acc = np.zeros((r, r))
-    snapshots: dict[int, np.ndarray] = {0: acc.copy()}
-    done = 0
-    for m in sorted(set(counts)):
-        if m == 0:
-            continue
-        block = values[done:m]
-        acc += block.T @ block
-        snapshots[m] = acc / m
-        done = m
-    return [_build_kernel(snapshots[m], mode) for m in counts]
+    return _build_kernel(prefix_moments(values, [prefix_count(n, lam)])[0], mode)
 
 
 def kernel_distance_sq(c1: CovKernel, c2: CovKernel) -> float:

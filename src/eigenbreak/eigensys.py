@@ -17,6 +17,7 @@ from .covkern import CovKernel
 __all__ = [
     "EigenSystem",
     "eigendecompose",
+    "operator_eigh",
     "aligned_distance",
     "aligned_distance_sq",
     "gap_warning",
@@ -76,6 +77,23 @@ def _canonical_signs(functions: np.ndarray) -> np.ndarray:
     return out
 
 
+def operator_eigh(matrices: np.ndarray, weight: float, p: int,
+                  with_functions: bool = True):
+    """Leading p eigenpairs of one kernel matrix or a stack, on the operator scale.
+
+    Returns ``(values, functions)``: eigenvalues descending times ``weight``,
+    shape (..., p), and the matching eigenfunctions as rows of unit
+    quadrature norm, shape (..., p, R), with their signs as ``eigh`` leaves
+    them.  Without functions only ``eigvalsh`` runs and ``functions`` is None.
+    """
+    if not with_functions:
+        return np.linalg.eigvalsh(matrices)[..., ::-1][..., :p] * weight, None
+    vals, vecs = np.linalg.eigh(matrices)
+    # eigh returns unit Euclidean columns; unit quadrature norm needs 1/sqrt(w)
+    functions = np.swapaxes(vecs[..., ::-1][..., :p], -1, -2) / np.sqrt(weight)
+    return vals[..., ::-1][..., :p] * weight, functions
+
+
 def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:
     """Leading eigenpairs of the integral operator induced by a kernel.
 
@@ -94,11 +112,7 @@ def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:
     """
     if not 1 <= p_max <= kernel.dim:
         raise ValueError(f"p_max must lie in [1, {kernel.dim}], got {p_max}")
-    vals, vecs = np.linalg.eigh(kernel.matrix)
-    order = np.argsort(vals, kind="stable")[::-1][:p_max]
-    vals = vals[order] * kernel.weight
-    # eigh returns unit Euclidean columns; unit quadrature norm needs 1/sqrt(w)
-    functions = vecs[:, order].T / np.sqrt(kernel.weight)
+    vals, functions = operator_eigh(kernel.matrix, kernel.weight, p_max)
     return EigenSystem(
         eigenvalues=vals,
         eigenfunctions=_canonical_signs(functions),
@@ -107,18 +121,20 @@ def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:
     )
 
 
-def aligned_distance_sq(v, u, *, weight: float = 1.0) -> float:
+def aligned_distance_sq(v, u, *, weight: float = 1.0):
     """min(||v-u||^2, ||v+u||^2) under the given quadrature weight.
 
-    Defined for arbitrary vectors; used internally where zero functions
-    stand in for eigenfunctions of degenerate kernels.
+    Works row by row on the last axis: two functions give a float, two
+    stacks of functions an array.  Defined for arbitrary vectors; used
+    where zero functions stand in for eigenfunctions of degenerate kernels.
     """
     v = np.asarray(v, dtype=float)
     u = np.asarray(u, dtype=float)
-    nv = weight * float(v @ v)
-    nu = weight * float(u @ u)
-    ip = weight * float(v @ u)
-    return max(nv + nu - 2.0 * abs(ip), 0.0)
+    nv = weight * np.sum(v * v, axis=-1)
+    nu = weight * np.sum(u * u, axis=-1)
+    ip = weight * np.sum(v * u, axis=-1)
+    dist = np.maximum(nv + nu - 2.0 * np.abs(ip), 0.0)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def aligned_distance(v, u, *, weight: float = 1.0) -> float:

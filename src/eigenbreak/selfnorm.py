@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covkern import SplitSample, mode_weight, prefix_count
-from .eigensys import gap_warning
+from .covkern import SplitSample, mode_weight, prefix_count, prefix_moments
+from .eigensys import aligned_distance_sq, gap_warning, operator_eigh
 
 __all__ = [
     "NuMeasure",
@@ -294,34 +294,16 @@ class EigenPaths:
 
 def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p: int, weight: float,
                    center: bool, with_functions: bool):
-    n, r = values.shape
+    n = values.shape[0]
     if center:
         values = values - values.mean(axis=0)
     counts = [prefix_count(n, lam) for lam in lambdas]
-    acc = np.zeros((r, r))
-    mats = np.empty((len(lambdas), r, r))
-    snapshots: dict[int, np.ndarray] = {0: acc.copy()}
-    done = 0
-    for m in sorted(set(counts)):
-        if m == 0:
-            continue
-        block = values[done:m]
-        acc += block.T @ block
-        snapshots[m] = acc / m
-        done = m
-    for i, m in enumerate(counts):
-        mats[i] = snapshots[m]
+    vals, funcs = operator_eigh(prefix_moments(values, counts), weight, p, with_functions)
     empty = np.asarray(counts) == 0
-    if with_functions:
-        vals, vecs = np.linalg.eigh(mats)
-        funcs = np.swapaxes(vecs[:, :, ::-1][:, :, :p], 1, 2) / np.sqrt(weight)
+    vals[empty] = 0.0
+    if funcs is not None:
         funcs[empty] = 0.0
-    else:
-        vals = np.linalg.eigvalsh(mats)
-        funcs = None
-    top = vals[:, ::-1][:, :p] * weight
-    top[empty] = 0.0
-    return top, funcs
+    return vals, funcs
 
 
 def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
@@ -390,16 +372,10 @@ def eigenfunction_diff_path(paths: EigenPaths, j: int) -> DiffPath:
         raise ValueError("paths were computed without eigenfunctions")
     if not 1 <= j <= paths.p_max:
         raise ValueError(f"eigen index {j} exceeds the decomposed range 1..{paths.p_max}")
-    v = paths.functions1[:, j - 1, :]
-    u = paths.functions2[:, j - 1, :]
-    w = paths.weight
-    nv = w * np.sum(v * v, axis=1)
-    nu_ = w * np.sum(u * u, axis=1)
-    ip = w * np.sum(v * u, axis=1)
-    vals = np.maximum(nv + nu_ - 2.0 * np.abs(ip), 0.0)
     return DiffPath(
         lambdas=paths.lambdas,
-        values=vals,
+        values=aligned_distance_sq(paths.functions1[:, j - 1, :], paths.functions2[:, j - 1, :],
+                                   weight=paths.weight),
         j=j,
         kind="eigenfunction",
         warnings=_path_warnings(paths, j),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from eigenbreak.cli import (
+    apply_analyze_config,
     build_parser,
     ingest_daily,
     load_experiment_config,
@@ -265,6 +267,35 @@ def test_analysis_finds_planted_rotation(tmp_path, small_pivot):
     assert len(eigen_lines) == 1 + 2 * 9
 
 
+def test_analysis_bytes_are_golden(tmp_path, small_pivot):
+    # digests recorded before the segment eigen paths shared the covkern
+    # accumulator and the eigensys eigen step
+    series = generate(DGPSpec(N=40, T=9, break_kind="rotation", magnitude=math.pi / 2, seed=0))
+    csv_path = tmp_path / "rotated.csv"
+    write_daily_csv(series, 1950, csv_path)
+    out_dir = tmp_path / "report"
+    run_analysis(csv_path, out_dir, order=9, j_fun=5, j_val=9, pivot=small_pivot)
+    report = json.loads((out_dir / "report.json").read_text())
+    del report["settings"]["csv_path"]
+    digests = {"report.json": hashlib.sha256(
+        json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest()}
+    for name in ("eigenfunction_table.csv", "eigenvalue_table.csv",
+                 "eigenvalues.csv", "eigenfunctions.csv"):
+        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    assert digests == {
+        "report.json": (
+            "a3ef0766f9c659770dd7e6fef942c0a78f31eee710891546c4ea3afe61580b2a"),
+        "eigenfunction_table.csv": (
+            "5eb1e0cf039e18f6f57e02e55f07eea03b6c0ad250f6a223a0970b5be3a4a2a2"),
+        "eigenvalue_table.csv": (
+            "9eb4614572eb85321247499ee1b8eb620fbf171404d036df1b7e18e1d639249e"),
+        "eigenvalues.csv": (
+            "b9bb446ef36000cf7ae53f664334e145e094d1ba1c0573b5ea8beb9ca2b3716c"),
+        "eigenfunctions.csv": (
+            "8d7724ad784f399583025afe4830213f0f09cea24a7fd6c0702295bc5e727e85"),
+    }
+
+
 def test_analysis_report_matrix_shapes(tmp_path, small_pivot):
     series = generate(DGPSpec(N=20, T=5, seed=2))
     csv_path = tmp_path / "plain.csv"
@@ -346,6 +377,37 @@ def test_analyze_config_rejects_unknown_keys(tmp_path, capsys):
     rc = main(["analyze", "--config", str(cfg)])
     assert rc == 1
     assert "angle_grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", [{"K": "20"}, {"T": "41"}, {"epsilon": "0.01"},
+                                   {"j_fun": 2.0}, {"center_cusum": 1}, {"min_days": True},
+                                   {"out_dir": None}])
+def test_analyze_config_rejects_wrongly_typed_values(tmp_path, capsys, field):
+    cfg = tmp_path / "analyze.json"
+    cfg.write_text(json.dumps({"csv": "x.csv", **field}))
+    rc = main(["analyze", "--config", str(cfg)])
+    assert rc == 1
+    (key,) = field
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_analyze_config_accepts_an_int_for_a_float(tmp_path):
+    cfg = tmp_path / "analyze.json"
+    cfg.write_text(json.dumps({"epsilon": 0, "center_cusum": True}))
+    args = build_parser().parse_args(["analyze", "--config", str(cfg)])
+    apply_analyze_config(args, args.analyze_defaults)
+    assert args.epsilon == 0 and args.center_cusum is True and args.K == 20
+
+
+def test_analyze_rejects_nonpositive_divisors(tmp_path, capsys):
+    cache = tmp_path / "cache.csv"
+    assert main(["quantiles", "--K", "20", "--R", "2000", "--out", str(cache)]) == 0
+    csv_path = tmp_path / "data.csv"
+    write_daily_csv(generate(DGPSpec(N=10, T=5, seed=1)), 1980, csv_path)
+    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--divisors", "0,100",
+               "--quantile-cache", str(cache), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "divisors must be positive" in capsys.readouterr().err
 
 
 def test_experiment_config_file_accepts_tau(tmp_path):

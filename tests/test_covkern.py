@@ -6,8 +6,8 @@ from eigenbreak.covkern import (
     SplitSample,
     kernel_distance_sq,
     prefix_count,
+    prefix_moments,
     sequential_kernel,
-    sequential_kernel_path,
 )
 from eigenbreak.datagen import DGPSpec, population_kernels
 from eigenbreak.funcspace import fourier_basis
@@ -75,10 +75,30 @@ def test_sequential_path_matches_single_lambda():
     rng = np.random.default_rng(11)
     segment = rng.standard_normal((37, 6))
     lams = [0.05, 0.3, 0.55, 1.0]
-    path = sequential_kernel_path(segment, lams, mode="coeff")
-    for lam, kernel in zip(lams, path):
+    path = prefix_moments(segment, [prefix_count(37, lam) for lam in lams])
+    for lam, matrix in zip(lams, path):
         single = sequential_kernel(segment, lam, mode="coeff")
-        np.testing.assert_allclose(kernel.matrix, single.matrix, atol=1e-13)
+        np.testing.assert_allclose(matrix, single.matrix, atol=1e-13)
+
+
+def test_prefix_moments_match_brute_force_with_empty_and_repeated_counts():
+    # a 3-row segment on the K=20 grid: 6 empty prefixes, repeats of 1 and 2, then 3
+    segment = np.random.default_rng(4).standard_normal((3, 5))
+    counts = [prefix_count(3, lam) for lam in np.append(np.arange(1, 20) / 20, 1.0)]
+    assert counts[:7] == [0] * 6 + [1] and counts[-1] == 3
+    path = prefix_moments(segment, counts)
+    assert path.shape == (20, 5, 5)
+    for m, matrix in zip(counts, path):
+        expected = brute_force_kernel(segment, m) if m else np.zeros((5, 5))
+        np.testing.assert_array_equal(matrix, expected)
+
+
+def test_prefix_moments_reject_decreasing_or_oversized_counts():
+    segment = np.ones((4, 2))
+    with pytest.raises(ValueError, match="must not decrease"):
+        prefix_moments(segment, [2, 1])
+    with pytest.raises(ValueError, match="must not decrease"):
+        prefix_moments(segment, [1, 5])
 
 
 def test_centering_uses_full_segment_mean():

@@ -9,6 +9,7 @@ from eigenbreak import selfnorm
 from eigenbreak.covkern import SplitSample
 from eigenbreak.datagen import DGPSpec, generate, population_kernels
 from eigenbreak.eigensys import aligned_distance, eigendecompose
+from eigenbreak.funcspace import fourier_basis
 from eigenbreak.selfnorm import (
     DiffPath,
     NuMeasure,
@@ -270,6 +271,17 @@ def test_single_observation_segment_degenerates_gracefully():
     assert np.isfinite(path.statistic)
 
 
+@pytest.mark.parametrize("mode, weight", [("coeff", 1.0), ("grid", 0.25)])
+def test_empty_prefixes_give_zero_eigenpairs(mode, weight):
+    values = np.random.default_rng(2).standard_normal((30, 4))
+    paths = sequential_eigensystem_paths(SplitSample.at_index(values, 1, mode=mode), 1, NU)
+    assert not paths.values1[:-1].any() and not paths.functions1[:-1].any()
+    # the distance to a zero function is the squared norm of the other one
+    path = eigenfunction_diff_path(paths, 1)
+    np.testing.assert_allclose(path.values[:-1], np.ones(19), rtol=1e-12)
+    assert paths.weight == weight
+
+
 def test_gap_warning_propagates_to_result(pivot):
     base = np.random.default_rng(3).standard_normal((40, 2))
     # rank-2 data in 4 dimensions: eigenvalues 3 and 4 are both zero, so the
@@ -333,28 +345,30 @@ def test_pivot_cache_refuses_a_quantile_summary(tmp_path, pivot):
 
 
 @st.composite
-def split_samples(draw):
+def split_samples(draw, dims=st.integers(2, 4)):
     """(N, R) sample, its split index and an eigen index.
 
     Each segment's smallest sub-sample (lambda = 1/20) holds more than R
     observations, so its eigenfunctions are determined up to sign.
     """
-    r = draw(st.integers(2, 4))
+    r = draw(dims)
     n1, n2 = (draw(st.integers(20 * (r + 1), 20 * (r + 1) + 60)) for _ in range(2))
     j = draw(st.integers(1, r - 1))
     values = np.random.default_rng(draw(SEEDS)).standard_normal((n1 + n2, r))
     return values, n1, j
 
 
-def eigen_statistics(values, k, j):
+def eigen_statistics(values, k, j, mode="coeff"):
     """Sequential eigenvalues and both difference paths with their normalizers."""
-    paths = sequential_eigensystem_paths(SplitSample.at_index(values, k), j, NU)
+    split = SplitSample.at_index(values, k, mode=mode)
+    paths = sequential_eigensystem_paths(split, j, NU)
     val = eigenvalue_diff_path(paths, j)
     fun = eigenfunction_diff_path(paths, j)
     return {
         "values1": paths.values1,
         "values2": paths.values2,
         "eigenvalue_path": val.values,
+        "eigenvalue_path_without_functions": diff_path(split, j, NU, "eigenvalue").values,
         "eigenvalue_normalizer": self_normalizer(val, NU),
         "eigenfunction_path": fun.values,
         "eigenfunction_normalizer": self_normalizer(fun, NU),
@@ -368,7 +382,8 @@ def assert_statistics_close(actual, expected, scales):
                                    atol=1e-10 * np.abs(ref).max(), err_msg=name)
 
 
-UNCHANGED = dict.fromkeys(("values1", "values2", "eigenvalue_path", "eigenvalue_normalizer",
+UNCHANGED = dict.fromkeys(("values1", "values2", "eigenvalue_path",
+                           "eigenvalue_path_without_functions", "eigenvalue_normalizer",
                            "eigenfunction_path", "eigenfunction_normalizer"), 1.0)
 
 
@@ -399,7 +414,20 @@ def test_eigen_statistics_scale_with_the_data(sample, c):
         "values1": c**2,
         "values2": c**2,
         "eigenvalue_path": c**4,
+        "eigenvalue_path_without_functions": c**4,
         "eigenvalue_normalizer": c**4,
         "eigenfunction_path": 1.0,
         "eigenfunction_normalizer": 1.0,
     })
+
+
+@PROPERTY
+@given(sample=split_samples(dims=st.sampled_from([3, 5])), extra_nodes=st.integers(0, 8))
+def test_eigen_statistics_agree_in_coeff_and_grid_mode(sample, extra_nodes):
+    # midpoint quadrature is exact for products of the basis functions, so
+    # the grid values of Fourier coefficients carry the same operator
+    coeffs, k, j = sample
+    order = coeffs.shape[1]
+    basis = fourier_basis(order, 2 * (order - 1) + extra_nodes)
+    assert_statistics_close(eigen_statistics(coeffs @ basis.eval_matrix.T, k, j, mode="grid"),
+                            eigen_statistics(coeffs, k, j), UNCHANGED)
