@@ -21,7 +21,10 @@ import math
 import os
 import re
 import sys
+import typing
 from dataclasses import dataclass, fields
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,7 +32,7 @@ from .changepoint import estimate_changepoint
 from .covkern import SplitSample, sequential_kernel
 from .datagen import DGPSpec, generate
 from .eigensys import eigendecompose
-from .funcspace import CoeffSeries, fourier_basis, project
+from .funcspace import CoeffSeries, _least_squares, fourier_basis
 from .harness import ExperimentConfig, epsilon_sweep, run_experiment
 from .selfnorm import (
     DEFAULT_K,
@@ -94,15 +97,57 @@ class IngestResult:
     excluded: tuple[tuple[int, int], ...]
 
 
-def _day_index(date: datetime.date) -> int | None:
-    """Day position on the fixed 365-day grid; None for Feb 29."""
-    if date.month == 2 and date.day == 29:
-        return None
-    day = date.timetuple().tm_yday
-    leap = date.year % 4 == 0 and (date.year % 100 != 0 or date.year % 400 == 0)
-    if leap and (date.month, date.day) > (2, 29):
-        day -= 1
-    return day
+#: days before each month, and month lengths, in a year without Feb 29
+_DAYS_BEFORE_MONTH = np.array([0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _decode_dates(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Year, month, day and a parsed flag for each date text.
+
+    Texts of the form ``YYYY-MM-DD`` that name a real date are decoded from
+    their digits.  Every other text goes to ``datetime.date.fromisoformat``
+    on its own, so the accepted forms are exactly those it takes.
+    """
+    n = len(texts)
+    codes = np.array(texts, dtype="U10").view(np.uint32).reshape(n, 10)
+    digits = codes[:, [0, 1, 2, 3, 5, 6, 8, 9]].astype(np.int64) - ord("0")
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    month = digits[:, 4] * 10 + digits[:, 5]
+    day = digits[:, 6] * 10 + digits[:, 7]
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_ok = (month >= 1) & (month <= 12)
+    month_days = _MONTH_DAYS[np.where(month_ok, month, 1) - 1] + ((month == 2) & leap)
+    parsed = (
+        (np.fromiter(map(len, texts), np.intp, n) == 10)
+        & np.all((digits >= 0) & (digits <= 9), axis=1)
+        & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-"))
+        & (year >= 1) & month_ok & (day >= 1) & (day <= month_days)
+    )
+    for i in np.flatnonzero(~parsed):
+        try:
+            date = datetime.date.fromisoformat(texts[i])
+        except ValueError:
+            continue
+        year[i], month[i], day[i], parsed[i] = date.year, date.month, date.day, True
+    return year, month, day, parsed
+
+
+def _parse_floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of each text (NaN where it fails) and where it succeeded."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts)), np.ones(len(texts), bool)
+    except ValueError:
+        pass
+    values = np.full(len(texts), np.nan)
+    parsed = np.zeros(len(texts), bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = float(text)
+        except ValueError:
+            continue
+        parsed[i] = True
+    return values, parsed
 
 
 def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> IngestResult:
@@ -112,6 +157,15 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
     year lives on the same 365-node grid, with day d mapped to the position
     (d - 1/2) / 365.  Years with fewer than ``min_days`` valid readings are
     excluded and reported.
+
+    The file is read by :mod:`csv` (so fields may be quoted and lines may
+    end in ``\\r\\n``), and whitespace around each field is ignored.  A date
+    is any text ``datetime.date.fromisoformat`` accepts, a value any text
+    ``float`` accepts that gives a finite number, and an empty value marks
+    a missing reading; blank rows are skipped.  A row with a wrong field
+    count, an unparseable date or value, a non-finite value or a second
+    reading for one day is an error: the ``ValueError`` names the first
+    five such lines in line order and counts the rest.
 
     Parameters
     ----------
@@ -128,91 +182,104 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
         Coefficient rows in ascending year order, the retained years, and
         the excluded (year, reading count) pairs.
     """
-    per_year: dict[int, dict[int, float]] = {}
-    bad_lines: list[str] = []
     with open(csv_path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["date", "value"]:
             raise ValueError(f"{csv_path}: expected header 'date,value', got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                bad_lines.append(f"line {lineno}: expected 2 fields, got {len(row)}")
-                continue
-            raw_date, raw_value = row[0].strip(), row[1].strip()
-            try:
-                date = datetime.date.fromisoformat(raw_date)
-            except ValueError:
-                bad_lines.append(f"line {lineno}: unparseable date {raw_date!r}")
-                continue
-            if not raw_value:
-                continue  # missing reading
-            try:
-                value = float(raw_value)
-            except ValueError:
-                bad_lines.append(f"line {lineno}: unparseable value {raw_value!r}")
-                continue
-            if not math.isfinite(value):
-                bad_lines.append(f"line {lineno}: non-finite value {raw_value!r}")
-                continue
-            day = _day_index(date)
-            if day is None:
-                continue  # Feb 29 dropped
-            readings = per_year.setdefault(date.year, {})
-            if day in readings:
-                bad_lines.append(f"line {lineno}: duplicate reading for {raw_date}")
-                continue
-            readings[day] = value
-    if bad_lines:
-        shown = "; ".join(bad_lines[:5])
-        more = f" (+{len(bad_lines) - 5} more)" if len(bad_lines) > 5 else ""
+        lines = list(reader)
+    widths = np.fromiter(map(len, lines), np.intp, len(lines))
+    blank = widths == 0
+    for i in np.flatnonzero(widths == 1):
+        blank[i] = not lines[i][0].strip()
+    paired = widths == 2
+    pairs = np.flatnonzero(paired)
+    paired_lines = list(compress(lines, paired.tolist()))
+    date_texts = list(map(str.strip, map(itemgetter(0), paired_lines)))
+    value_texts = list(map(str.strip, map(itemgetter(1), paired_lines)))
+
+    # each check below sees only the rows that passed the ones before it
+    year, month, day, date_ok = _decode_dates(date_texts)
+    has_value = date_ok & np.fromiter(map(bool, value_texts), bool, len(value_texts))
+    values = np.full(len(value_texts), np.nan)
+    value_ok = np.zeros(len(value_texts), bool)
+    values[has_value], value_ok[has_value] = _parse_floats(
+        list(compress(value_texts, has_value.tolist()))
+    )
+    finite = np.isfinite(values)
+    reading = finite & ~((month == 2) & (day == 29))
+    day_index = _DAYS_BEFORE_MONTH[np.where(reading, month, 1) - 1] + day
+    # readings sorted by (year, day), in line order within one day
+    key = year * 366 + day_index
+    by_day = np.flatnonzero(reading)
+    by_day = by_day[np.argsort(key[by_day], kind="stable")]
+    repeat = np.zeros(by_day.size, bool)
+    repeat[1:] = key[by_day[1:]] == key[by_day[:-1]]
+
+    def field(i, column):
+        return lines[i][column].strip()
+
+    problems = [
+        (np.flatnonzero(~blank & ~paired), lambda i: f"expected 2 fields, got {widths[i]}"),
+        (pairs[~date_ok], lambda i: f"unparseable date {field(i, 0)!r}"),
+        (pairs[has_value & ~value_ok], lambda i: f"unparseable value {field(i, 1)!r}"),
+        (pairs[value_ok & ~finite], lambda i: f"non-finite value {field(i, 1)!r}"),
+        (pairs[by_day[repeat]], lambda i: f"duplicate reading for {field(i, 0)}"),
+    ]
+    bad = np.concatenate([where for where, _ in problems])
+    if bad.size:
+        kind = np.repeat(np.arange(len(problems)), [where.size for where, _ in problems])
+        shown = "; ".join(
+            f"line {bad[j] + 2}: {problems[kind[j]][1](bad[j])}"
+            for j in np.argsort(bad, kind="stable")[:5]
+        )
+        more = f" (+{bad.size - 5} more)" if bad.size > 5 else ""
         raise ValueError(f"{csv_path}: {shown}{more}")
 
     basis = fourier_basis(order, DAYS_PER_YEAR)
-    rows = []
-    years = []
+    days, readings = day_index[by_day], values[by_day]
+    years, starts, counts = np.unique(year[by_day], return_index=True, return_counts=True)
+    coeffs = []
+    retained = []
     excluded = []
-    for year in sorted(per_year):
-        readings = per_year[year]
-        if len(readings) < min_days:
-            excluded.append((year, len(readings)))
+    for year_, start, count in zip(years.tolist(), starts.tolist(), counts.tolist()):
+        if count < min_days:
+            excluded.append((year_, count))
             continue
-        days = np.array(sorted(readings))
-        values = np.array([readings[d] for d in days])
-        positions = (days - 0.5) / DAYS_PER_YEAR
-        rows.append(project(values, positions, basis))
-        years.append(year)
-    if not rows:
+        rows = slice(start, start + count)
+        coeffs.append(_least_squares(basis.eval_matrix[days[rows] - 1], readings[rows]))
+        retained.append(year_)
+    if not coeffs:
         raise ValueError(f"{csv_path}: no year has at least {min_days} valid readings")
     return IngestResult(
-        series=CoeffSeries(np.vstack(rows), basis),
-        years=tuple(years),
+        series=CoeffSeries(np.vstack(coeffs), basis),
+        years=tuple(retained),
         excluded=tuple(excluded),
     )
 
 
-def _year_dates(year: int) -> list[datetime.date]:
-    date = datetime.date(year, 1, 1)
-    out = []
-    while date.year == year:
-        if not (date.month == 2 and date.day == 29):
-            out.append(date)
-        date += datetime.timedelta(days=1)
-    return out
+#: the "-MM-DD" date suffixes of the 365 grid days
+_GRID_MONTH_DAYS = tuple(
+    f"-{month:02d}-{day:02d}"
+    for month, length in enumerate(_MONTH_DAYS.tolist(), start=1)
+    for day in range(1, length + 1)
+)
 
 
 def write_daily_csv(series: CoeffSeries, start_year: int, path) -> None:
     """Render coefficient rows as one synthetic daily-series year each."""
+    for year in (start_year, start_year + series.n_obs - 1):
+        if not datetime.MINYEAR <= year <= datetime.MAXYEAR:
+            raise ValueError(f"year {year} is out of range")
     positions = (np.arange(1, DAYS_PER_YEAR + 1) - 0.5) / DAYS_PER_YEAR
     design = series.basis.evaluate(positions)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("date,value\n")
-        for offset, row in enumerate(series.coeffs):
-            values = design @ row
-            for date, value in zip(_year_dates(start_year + offset), values):
-                fh.write(f"{date.isoformat()},{float(value)!r}\n")
+        for year, row in enumerate(series.coeffs, start=start_year):
+            fh.write("".join(
+                f"{year:04d}{month_day},{value!r}\n"
+                for month_day, value in zip(_GRID_MONTH_DAYS, (design @ row).tolist())
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -450,18 +517,17 @@ def _shipped_config_path(name: str):
     return candidate if candidate.is_file() else None
 
 
-#: analyze settings: name -> (type of a config file value, default); list
-#: settings have no declared type, and the parser sets the ``out_dir``
-#: default from $EIGENBREAK_OUT_DIR (else ".")
+#: analyze settings: name -> (type of a config file value, default); the
+#: parser sets the ``out_dir`` default from $EIGENBREAK_OUT_DIR (else ".")
 ANALYZE_SETTINGS = {
     "csv": (str, None),
     "T": (int, 41),
     "epsilon": (float, 0.01),
-    "angles": (None, DEFAULT_ANGLES),
+    "angles": (list[float], DEFAULT_ANGLES),
     "j_fun": (int, 5),
     "j_val": (int, 12),
-    "divisors": (None, DEFAULT_DIVISORS),
-    "alphas": (None, DEFAULT_ALPHAS),
+    "divisors": (list[int], DEFAULT_DIVISORS),
+    "alphas": (list[float], DEFAULT_ALPHAS),
     "K": (int, DEFAULT_K),
     "min_days": (int, DEFAULT_MIN_DAYS),
     "center_cusum": (bool, False),
@@ -484,19 +550,34 @@ def apply_analyze_config(args, defaults: dict) -> None:
             setattr(args, key, value)
 
 
+def _is_of_type(value, kind) -> bool:
+    """JSON value check: an int counts as a float, bools count only as bools."""
+    if typing.get_origin(kind) is list:
+        (item_kind,) = typing.get_args(kind)
+        return isinstance(value, list) and all(_is_of_type(item, item_kind) for item in value)
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
+
+
 def _read_analyze_config(path) -> dict:
     data = _read_json_object(path, ANALYZE_SETTINGS, "analyze")
+    angles = data.get("angles")
+    if isinstance(angles, list):
+        # angles may also be pi expressions such as "pi/16"
+        try:
+            data["angles"] = [
+                parse_float_or_pi(str(v)) if isinstance(v, str) or _is_of_type(v, float) else v
+                for v in angles
+            ]
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{path}: analyze field 'angles': {exc}") from None
     for key, value in data.items():
         kind = ANALYZE_SETTINGS[key][0]
-        if kind is None:
-            continue
-        accepted = (int, float) if kind is float else kind
-        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
+        if not _is_of_type(value, kind):
+            name = kind.__name__ if typing.get_origin(kind) is None else str(kind)
             raise ValueError(
-                f"{path}: analyze field {key!r} must be of type {kind.__name__}, got {value!r}"
+                f"{path}: analyze field {key!r} must be of type {name}, got {value!r}"
             )
-    if "angles" in data:
-        data["angles"] = [parse_float_or_pi(str(v)) for v in data["angles"]]
     return data
 
 

@@ -175,14 +175,15 @@ def project(samples, positions, basis: FourierBasis) -> np.ndarray:
         raise ValueError("samples and positions must be matching 1-d vectors")
     if np.any((positions < 0.0) | (positions > 1.0)):
         raise ValueError("sample positions must lie in [0,1]")
-    if samples.size < basis.order:
-        raise ValueError(
-            f"projection needs at least {basis.order} samples, got {samples.size}"
-        )
-    design = basis.evaluate(positions)
+    return _least_squares(basis.evaluate(positions), samples)
+
+
+def _least_squares(design: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """Coefficients minimizing |design @ c - samples|; the design needs full column rank."""
+    order = design.shape[1]
+    if samples.size < order:
+        raise ValueError(f"projection needs at least {order} samples, got {samples.size}")
     coeffs, _, rank, _ = np.linalg.lstsq(design, samples, rcond=None)
-    if rank < basis.order:
-        raise ValueError(
-            f"projection design is rank-deficient (rank {rank} < order {basis.order})"
-        )
+    if rank < order:
+        raise ValueError(f"projection design is rank-deficient (rank {rank} < order {order})")
     return coeffs

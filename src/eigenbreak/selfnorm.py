@@ -166,26 +166,22 @@ class PivotDistribution:
     @classmethod
     def load(cls, path) -> "PivotDistribution":
         meta: dict[str, int] = {}
-        values = []
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for token in line.lstrip("# ").split():
+            # metadata, blank lines and the column header precede the rows
+            start, line = fh.tell(), fh.readline()
+            while line and (not line.strip() or line.lstrip().startswith(("#", "probability"))):
+                if line.lstrip().startswith("#"):
+                    for token in line.strip().lstrip("# ").split():
                         if "=" in token:
                             key, _, val = token.partition("=")
                             if key in ("K", "R", "seed"):
                                 meta[key] = int(val)
-                    continue
-                if line.startswith("probability"):
-                    continue
-                _, _, quant = line.partition(",")
-                values.append(float(quant))
-        if not {"K", "R", "seed"} <= meta.keys() or not values:
+                start, line = fh.tell(), fh.readline()
+            fh.seek(start)
+            values = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1) if line else np.empty(0)
+        if not {"K", "R", "seed"} <= meta.keys() or not values.size:
             raise ValueError(f"{path} is not a pivot quantile cache")
-        return cls(K=meta["K"], sample=np.asarray(values), seed=meta["seed"], r_total=meta["R"])
+        return cls(K=meta["K"], sample=values, seed=meta["seed"], r_total=meta["R"])
 
 
 def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,

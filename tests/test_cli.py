@@ -381,7 +381,11 @@ def test_analyze_config_rejects_unknown_keys(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", [{"K": "20"}, {"T": "41"}, {"epsilon": "0.01"},
                                    {"j_fun": 2.0}, {"center_cusum": 1}, {"min_days": True},
-                                   {"out_dir": None}])
+                                   {"out_dir": None},
+                                   # list settings take a JSON array of numbers
+                                   {"angles": ["two pi"]}, {"angles": 5}, {"angles": [True]},
+                                   {"divisors": "50"}, {"divisors": [50.5]},
+                                   {"alphas": ["x"]}, {"alphas": None}])
 def test_analyze_config_rejects_wrongly_typed_values(tmp_path, capsys, field):
     cfg = tmp_path / "analyze.json"
     cfg.write_text(json.dumps({"csv": "x.csv", **field}))
@@ -393,10 +397,13 @@ def test_analyze_config_rejects_wrongly_typed_values(tmp_path, capsys, field):
 
 def test_analyze_config_accepts_an_int_for_a_float(tmp_path):
     cfg = tmp_path / "analyze.json"
-    cfg.write_text(json.dumps({"epsilon": 0, "center_cusum": True}))
+    cfg.write_text(json.dumps({"epsilon": 0, "center_cusum": True, "angles": [1, "pi/4"],
+                               "alphas": [0, 0.5]}))
     args = build_parser().parse_args(["analyze", "--config", str(cfg)])
     apply_analyze_config(args, args.analyze_defaults)
     assert args.epsilon == 0 and args.center_cusum is True and args.K == 20
+    assert args.angles == [1.0, math.pi / 4] and isinstance(args.angles[0], float)
+    assert args.alphas == [0, 0.5]
 
 
 def test_analyze_rejects_nonpositive_divisors(tmp_path, capsys):

@@ -209,6 +209,23 @@ def test_pivot_save_load_roundtrip(tmp_path, pivot):
         assert loaded.quantile(p) == pytest.approx(pivot.quantile(p), rel=2e-3)
     x = pivot.quantile(0.9)
     assert loaded.prob_leq(x) == pytest.approx(0.9, abs=2e-3)
+    # the cached quantiles, parsed line by line with float()
+    lines = path.read_text().splitlines()[3:]
+    expected = np.array([float(line.partition(",")[2]) for line in lines])
+    assert loaded.sample.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "# eigenbreak pivot quantile cache\n# K=20 R=100 seed=1\nprobability,quantile\n",
+    "# eigenbreak pivot quantile cache\n# K=20 R=100\n\nprobability,quantile\n0.5,1.0\n",
+    "probability,quantile\n0.5,1.0\n",
+    "",
+])
+def test_pivot_load_refuses_a_file_without_metadata_or_values(tmp_path, text):
+    path = tmp_path / "pivot.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="is not a pivot quantile cache"):
+        PivotDistribution.load(path)
 
 
 def test_pivot_validation():
