@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -38,44 +39,45 @@ def _block_len(item_bytes: int) -> int:
     return max(1, SCAN_BLOCK_BYTES // item_bytes)
 
 
-def _packed_distances(values: np.ndarray) -> np.ndarray:
-    """||S_k/k - (S-S_k)/(N-k)||_F^2 for k = 1..N-1 over packed upper-triangle features.
+def _deviation_norms(values: np.ndarray) -> np.ndarray:
+    """||D_k||_F^2 for k = 1..N-1, with D_k = S_k - (k/N) S, by a blocked recursion.
 
-    Observation n contributes the features values[n,a] * values[n,b], a <= b;
-    off-diagonal features count twice in the Frobenius norm.  Features are
-    laid out one row per feature so every pass runs along contiguous memory,
-    and the prefix sum S_k is carried from one block of observations to the
-    next.
+    With Y_i = x_i x_i^T - S/N, a block of rows that follows the first s
+    observations gives ||D_{s+t}||^2 = ||D_s||^2 + 2 sum_{i<=t} <D_s, Y_i>
+    + sum_{i,j<=t} <Y_i, Y_j>, where <D_s, Y_i> = x_i^T D_s x_i - <D_s, S/N>
+    and the pair sum is the leading t x t sum of the squared Gram block P,
+    minus 2t Q_t, plus t^2 ||S/N||^2; Q_t sums q_i = x_i^T (S/N) x_i.  Each
+    term is a matrix product on R x R or b x b blocks.  D_s is formed afresh
+    from the carried S_s at every block, so rounding does not build up from
+    one block to the next, and every Y_i of identical observations is zero.
     """
     n, r = values.shape
-    rows, cols = np.triu_indices(r)
-    n_feat = rows.size
-    weights = np.where(rows == cols, 1.0, 2.0)
-    total = (values.T @ values)[rows, cols][:, None]
-    step = _block_len(8 * n_feat)
-    head = np.empty((n_feat, min(step, n - 1)))
-    tail = np.empty_like(head)
-    carry = np.zeros(n_feat)
-    dist = np.empty(n - 1)
+    total = values.T @ values
+    mean = total / n
+    mean_sq = np.sum(mean * mean)
+    # b x b Gram blocks of a 64th of the budget, 128 x 128 by default, stay
+    # in cache: at N=2000, R=21, blocks of 256 rows were ~1.4x slower
+    step = min(max(1, isqrt(SCAN_BLOCK_BYTES // 64)), n - 1)
+    # weight 2 below the diagonal and 1 on it: the cumulative weighted row
+    # sums of P are its leading t x t sums
+    pair_weights = np.tril(np.full((step, step), 2.0), -1) + np.eye(step)
+    head = np.zeros((r, r))
+    norms = np.empty(n - 1)
     for start in range(0, n - 1, step):
         stop = min(start + step, n - 1)
-        h, t = head[:, : stop - start], tail[:, : stop - start]
-        block = values[start:stop].T
-        offset = 0
-        for a in range(r):
-            np.multiply(block[a], block[a:], out=h[offset : offset + r - a])
-            offset += r - a
-        h[:, 0] += carry
-        np.cumsum(h, axis=1, out=h)
-        carry = h[:, -1].copy()
-        ks = np.arange(start + 1, stop + 1, dtype=float)
-        np.subtract(total, h, out=t)
-        t /= n - ks
-        h /= ks
-        h -= t
-        h *= h
-        np.matmul(weights, h, out=dist[start:stop])
-    return dist
+        block = values[start:stop]
+        t = np.arange(1, stop - start + 1, dtype=float)
+        dev = (n * head - start * total) / n
+        gram = block @ block.T
+        gram *= gram
+        rows = np.einsum("ij,ij->i", gram, pair_weights[: stop - start, : stop - start])
+        rows += 2.0 * np.einsum("ij,ij->i", block @ dev, block)
+        quad = np.einsum("ij,ij->i", block @ mean, block)
+        norms[start:stop] = (np.sum(dev * dev) + np.cumsum(rows)
+                             - t * (2.0 * np.sum(dev * mean) + 2.0 * np.cumsum(quad) - t * mean_sq))
+        head += block.T @ block
+    # the expansion can cancel to a tiny negative where the norm is ~0
+    return np.maximum(norms, 0.0, out=norms)
 
 
 def _gram_distances(values: np.ndarray) -> np.ndarray:
@@ -113,22 +115,22 @@ def _gram_distances(values: np.ndarray) -> np.ndarray:
 def objective_curve(sample, *, mode: str = "coeff") -> np.ndarray:
     """CUSUM objective f(k) at every split index k = 1..N-1.
 
-    f(k) = k(N-k)/N^2 * w^2 * ||S_k/k - (S-S_k)/(N-k)||_F^2, with S_k the sum
-    of the first k outer products.  The scan works in the smaller of the two
-    exact feature spaces: packed upper-triangle features when N > R(R+1)/2,
-    the N x N Gram form otherwise.  Either way it holds O(R^2 + N) floats plus
-    blocks of at most SCAN_BLOCK_BYTES, never an (N, R, R) array.
+    f(k) = k(N-k)/N^2 * w^2 * ||S_k/k - (S-S_k)/(N-k)||_F^2 = w^2 ||D_k||_F^2 / (k(N-k)),
+    with S_k the sum of the first k outer products and D_k = S_k - (k/N) S.
+    When N > R(R+1)/2 the scan runs a blocked recursion for ||D_k||^2 on R x R
+    and b x b matrix products; otherwise it works in the N x N Gram form.
+    Either way it holds O(R^2 + N) floats plus blocks of at most
+    SCAN_BLOCK_BYTES, never an (N, R, R) array.
     """
     values, mode = as_matrix(sample, mode)
     n, r = values.shape
     if n < 2:
         raise ValueError("the objective needs at least two observations")
     weight = mode_weight(mode, r)
-    if n > r * (r + 1) // 2:
-        dist_sq = weight**2 * _packed_distances(values)
-    else:
-        dist_sq = weight**2 * _gram_distances(values)
     ks = np.arange(1, n)
+    if n > r * (r + 1) // 2:
+        return weight**2 * _deviation_norms(values) / (ks * (n - ks))
+    dist_sq = weight**2 * _gram_distances(values)
     return ks * (n - ks) / n**2 * dist_sq
 
 

@@ -328,6 +328,8 @@ def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
     """
     if any(d <= 0 for d in divisors):
         raise ValueError(f"eigenvalue threshold divisors must be positive, got {list(divisors)}")
+    if not alphas:
+        raise ValueError("significance levels 'alphas' must not be empty")
     alphas = tuple(sorted(alphas, reverse=True))
     ingest = ingest_daily(csv_path, order, min_days)
     n_years = ingest.series.n_obs
@@ -380,7 +382,8 @@ def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
     eigenvalue_cells = []
     for j in range(1, j_val + 1):
         path = eigenvalue_diff_path(paths, j)
-        tau_pre = float(pre_system.eigenvalues[j - 1])
+        # the kernel is PSD: past the pre-segment's rank, tau_j is round-off
+        tau_pre = max(0.0, float(pre_system.eigenvalues[j - 1]))
         deltas = [(f"divisor={d}", tau_pre / d) for d in divisors]
         eigenvalue_cells.extend(run_tests(path, deltas))
 

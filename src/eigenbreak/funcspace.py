@@ -10,6 +10,7 @@ coefficient space is an exact finite-dimensional copy of the sample space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -109,8 +110,12 @@ def _evaluate_fourier(order: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
 def fourier_basis(order: int, grid_size: int) -> FourierBasis:
-    """Build the real Fourier basis of odd order T on M midpoint nodes.
+    """The real Fourier basis of odd order T on M midpoint nodes.
+
+    Bases are memoized per (order, grid_size) and shared, so their
+    ``eval_matrix`` is read-only.
 
     Parameters
     ----------
@@ -131,8 +136,9 @@ def fourier_basis(order: int, grid_size: int) -> FourierBasis:
             f"grid size {grid_size} cannot resolve a basis of order {order}; "
             f"need at least {max(2, 2 * (order - 1))} nodes"
         )
-    nodes = midpoint_nodes(grid_size)
-    return FourierBasis(order=order, grid_size=grid_size, eval_matrix=_evaluate_fourier(order, nodes))
+    eval_matrix = _evaluate_fourier(order, midpoint_nodes(grid_size))
+    eval_matrix.flags.writeable = False
+    return FourierBasis(order=order, grid_size=grid_size, eval_matrix=eval_matrix)
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> float:

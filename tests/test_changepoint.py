@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from eigenbreak import changepoint
 from eigenbreak.changepoint import (
+    _block_len,
     cusum_objective,
     estimate_changepoint,
     objective_curve,
@@ -18,18 +19,78 @@ from eigenbreak.funcspace import fourier_basis
 # exact identities of the objective; few derandomized examples keep them cheap
 PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
 SEEDS = st.integers(0, 2**32 - 1)
-FORMS = ("packed", "gram")
+FORMS = ("blocked", "gram")
 
 
 @st.composite
 def samples(draw, form):
-    """(N, R) sample scanned by the given form: packed when N > R(R+1)/2, else Gram."""
-    r = draw(st.integers(1, 5) if form == "packed" else st.integers(3, 6))
+    """(N, R) sample scanned by the given form, with the scan's block budget.
+
+    Blocked samples (N > R(R+1)/2) are scanned by the blocked recursion in
+    blocks of b rows, b = sqrt(SCAN_BLOCK_BYTES / 64); they span at least two
+    full blocks and end in a ragged one.  Gram samples use the default budget.
+    """
+    r = draw(st.integers(1, 5) if form == "blocked" else st.integers(3, 6))
     n_feat = r * (r + 1) // 2
-    n = draw(st.integers(n_feat + 1, n_feat + 30) if form == "packed"
-             else st.integers(4, n_feat))
+    if form == "blocked":
+        rows = draw(st.integers(2, 8))
+        full = draw(st.integers(n_feat // rows + 2, n_feat // rows + 4))
+        n = full * rows + draw(st.integers(1, rows - 1)) + 1
+        block_bytes = 64 * rows * rows
+    else:
+        n = draw(st.integers(4, n_feat))
+        block_bytes = changepoint.SCAN_BLOCK_BYTES
     rng = np.random.default_rng(draw(SEEDS))
-    return rng.standard_normal((n, r))
+    return rng.standard_normal((n, r)), block_bytes
+
+
+def scan(values, block_bytes):
+    """objective_curve with the scan's block budget set to block_bytes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(changepoint, "SCAN_BLOCK_BYTES", block_bytes)
+        return objective_curve(values, mode="coeff")
+
+
+# the packed-feature scan that the blocked recursion replaced, copied
+# verbatim as its oracle
+def reference_packed_distances(values: np.ndarray) -> np.ndarray:
+    """||S_k/k - (S-S_k)/(N-k)||_F^2 for k = 1..N-1 over packed upper-triangle features.
+
+    Observation n contributes the features values[n,a] * values[n,b], a <= b;
+    off-diagonal features count twice in the Frobenius norm.  Features are
+    laid out one row per feature so every pass runs along contiguous memory,
+    and the prefix sum S_k is carried from one block of observations to the
+    next.
+    """
+    n, r = values.shape
+    rows, cols = np.triu_indices(r)
+    n_feat = rows.size
+    weights = np.where(rows == cols, 1.0, 2.0)
+    total = (values.T @ values)[rows, cols][:, None]
+    step = _block_len(8 * n_feat)
+    head = np.empty((n_feat, min(step, n - 1)))
+    tail = np.empty_like(head)
+    carry = np.zeros(n_feat)
+    dist = np.empty(n - 1)
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n - 1)
+        h, t = head[:, : stop - start], tail[:, : stop - start]
+        block = values[start:stop].T
+        offset = 0
+        for a in range(r):
+            np.multiply(block[a], block[a:], out=h[offset : offset + r - a])
+            offset += r - a
+        h[:, 0] += carry
+        np.cumsum(h, axis=1, out=h)
+        carry = h[:, -1].copy()
+        ks = np.arange(start + 1, stop + 1, dtype=float)
+        np.subtract(total, h, out=t)
+        t /= n - ks
+        h /= ks
+        h -= t
+        h *= h
+        np.matmul(weights, h, out=dist[start:stop])
+    return dist
 
 
 def brute_force_objective(values, k):
@@ -62,7 +123,7 @@ def test_identical_observations_give_zero_objective():
 
 
 def test_streaming_matches_brute_force(monkeypatch):
-    # N <= 6 is scanned in Gram form, larger N in packed form; the
+    # N <= 6 is scanned in Gram form, larger N by the blocked recursion; the
     # one-observation blocks exercise the carry between blocks
     for block_bytes in (changepoint.SCAN_BLOCK_BYTES, 1):
         monkeypatch.setattr(changepoint, "SCAN_BLOCK_BYTES", block_bytes)
@@ -73,6 +134,24 @@ def test_streaming_matches_brute_force(monkeypatch):
             for k in range(1, n):
                 assert curve[k - 1] == pytest.approx(brute_force_objective(values, k), abs=1e-10)
                 assert cusum_objective(values, k) == pytest.approx(curve[k - 1], abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_blocked_scan_matches_packed_oracle(n):
+    # generated replicates with a break, scanned by the blocked recursion
+    # (128-row blocks) and by the packed-feature oracle
+    ks = np.arange(1, n)
+    for rep in range(8):
+        for kind, magnitude in (("eigenvalue_shift", 0.1), ("rotation", np.pi / 4)):
+            rng = np.random.default_rng(np.random.SeedSequence((53, n, rep)))
+            coeffs = generate(DGPSpec(N=n, break_kind=kind, magnitude=magnitude), rng).coeffs
+            oracle = ks * (n - ks) / n**2 * reference_packed_distances(coeffs)
+            curve = objective_curve(coeffs)
+            np.testing.assert_allclose(curve, oracle, rtol=1e-10, atol=1e-10 * oracle.max())
+            for epsilon in (0.05, 0.01):
+                lo, hi = search_range(n, epsilon)
+                k_oracle = lo + int(np.argmax(oracle[lo - 1 : hi]))
+                assert estimate_changepoint(coeffs, epsilon).k_hat == k_oracle
 
 
 def test_objective_k_range_validation():
@@ -86,7 +165,7 @@ def test_objective_k_range_validation():
 def test_deterministic_population_break_is_located_exactly():
     # noiseless observations: each period of R rows is the scaled eigenvectors
     # sqrt(R tau_i) v_i of c1 (mean outer product exactly c1), then of c2;
-    # 2R + 2R rows are scanned in packed form at R=5 and in Gram form at R=21
+    # 2R + 2R rows are scanned by the blocked recursion at R=5 and in Gram form at R=21
     for order in (5, 21):
         spec = DGPSpec(N=40, T=order, break_kind="eigenvalue_shift", magnitude=0.9)
         periods = []
@@ -127,14 +206,25 @@ def test_estimate_validation():
 
 @PROPERTY
 @given(data=st.data())
+def test_blocked_scan_matches_oracle_across_ragged_blocks(data):
+    values, block_bytes = data.draw(samples("blocked"))
+    n = values.shape[0]
+    ks = np.arange(1, n)
+    oracle = ks * (n - ks) / n**2 * reference_packed_distances(values)
+    np.testing.assert_allclose(scan(values, block_bytes), oracle,
+                               rtol=1e-10, atol=1e-10 * oracle.max())
+
+
+@PROPERTY
+@given(data=st.data())
 def test_objective_is_sign_invariant(data):
     for form in FORMS:
-        values = data.draw(samples(form))
+        values, block_bytes = data.draw(samples(form))
         flips = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
                                             min_size=len(values), max_size=len(values))))
         np.testing.assert_array_equal(
-            objective_curve(values, mode="coeff"),
-            objective_curve(flips[:, None] * values, mode="coeff"),
+            scan(values, block_bytes),
+            scan(flips[:, None] * values, block_bytes),
         )
 
 
@@ -142,11 +232,11 @@ def test_objective_is_sign_invariant(data):
 @given(data=st.data())
 def test_objective_is_invariant_under_orthogonal_basis_change(data):
     for form in FORMS:
-        values = data.draw(samples(form))
+        values, block_bytes = data.draw(samples(form))
         rng = np.random.default_rng(data.draw(SEEDS))
         q, _ = np.linalg.qr(rng.standard_normal((values.shape[1],) * 2))
-        curve = objective_curve(values)
-        np.testing.assert_allclose(objective_curve(values @ q), curve,
+        curve = scan(values, block_bytes)
+        np.testing.assert_allclose(scan(values @ q, block_bytes), curve,
                                    rtol=1e-10, atol=1e-10 * curve.max())
 
 
@@ -154,17 +244,18 @@ def test_objective_is_invariant_under_orthogonal_basis_change(data):
 @given(data=st.data(), scale=st.floats(0.1, 10.0))
 def test_objective_scales_with_fourth_power(data, scale):
     for form in FORMS:
-        values = data.draw(samples(form))
-        curve = objective_curve(values)
-        np.testing.assert_allclose(objective_curve(scale * values), scale**4 * curve,
+        values, block_bytes = data.draw(samples(form))
+        curve = scan(values, block_bytes)
+        np.testing.assert_allclose(scan(scale * values, block_bytes), scale**4 * curve,
                                    rtol=1e-10, atol=1e-10 * scale**4 * curve.max())
 
 
 @PROPERTY
 @given(n=st.integers(7, 28), grid=st.integers(7, 12), seed=SEEDS)
 def test_coeff_and_grid_modes_agree_on_fourier_samples(n, grid, seed):
-    # order 3 has 6 packed features, so the coefficients are scanned packed
-    # and their grid values (at least 28 packed features) in Gram form
+    # order 3 has 6 packed features, so the coefficients are scanned by the
+    # blocked recursion and their grid values (at least 28 packed features)
+    # in Gram form
     coeffs = np.random.default_rng(seed).standard_normal((n, 3))
     values = coeffs @ fourier_basis(3, grid).eval_matrix.T
     curve = objective_curve(coeffs, mode="coeff")

@@ -406,15 +406,56 @@ def test_analyze_config_accepts_an_int_for_a_float(tmp_path):
     assert args.alphas == [0, 0.5]
 
 
-def test_analyze_rejects_nonpositive_divisors(tmp_path, capsys):
-    cache = tmp_path / "cache.csv"
+@pytest.fixture(scope="module")
+def ten_year_csv(tmp_path_factory):
+    """A 10-year daily CSV of order 5 and a K=20 quantile cache for it."""
+    root = tmp_path_factory.mktemp("ten_years")
+    cache = root / "cache.csv"
     assert main(["quantiles", "--K", "20", "--R", "2000", "--out", str(cache)]) == 0
-    csv_path = tmp_path / "data.csv"
+    csv_path = root / "data.csv"
     write_daily_csv(generate(DGPSpec(N=10, T=5, seed=1)), 1980, csv_path)
+    return csv_path, cache
+
+
+def test_analyze_rejects_nonpositive_divisors(tmp_path, capsys, ten_year_csv):
+    csv_path, cache = ten_year_csv
     rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--divisors", "0,100",
                "--quantile-cache", str(cache), "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert "divisors must be positive" in capsys.readouterr().err
+
+
+def test_analyze_rejects_empty_alphas_flag(tmp_path, capsys, ten_year_csv):
+    csv_path, cache = ten_year_csv
+    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--alphas", ",",
+               "--quantile-cache", str(cache), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert "'alphas' must not be empty" in capsys.readouterr().err
+
+
+def test_analyze_rejects_empty_alphas_config(tmp_path, capsys, ten_year_csv):
+    csv_path, cache = ten_year_csv
+    cfg = tmp_path / "analyze.json"
+    cfg.write_text(json.dumps({"csv": str(csv_path), "T": 5, "alphas": [],
+                               "quantile_cache": str(cache), "out_dir": str(tmp_path / "out")}))
+    rc = main(["analyze", "--config", str(cfg)])
+    assert rc == 1
+    assert "'alphas' must not be empty" in capsys.readouterr().err
+
+
+def test_eigenvalue_threshold_past_the_rank_is_zero(tmp_path, ten_year_csv):
+    # the order-5 pre-segment kernel of 4 years has rank 3: its 4th and 5th
+    # eigenvalues are round-off, one of them negative
+    csv_path, cache = ten_year_csv
+    out_dir = tmp_path / "out"
+    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5",
+               "--quantile-cache", str(cache), "--out-dir", str(out_dir)])
+    assert rc == 0
+    report = json.loads((out_dir / "report.json").read_text())
+    assert min(report["eigenvalues"]["pre"]) < 0.0
+    deltas = {cell["j"]: cell["delta"] for cell in report["eigenvalue_tests"]}
+    assert all(delta >= 0.0 for delta in deltas.values())
+    assert deltas[5] == 0.0
 
 
 def test_experiment_config_file_accepts_tau(tmp_path):

@@ -34,6 +34,14 @@ def test_discrete_gram_matrix_is_identity():
             assert abs(inner_product(f, g) - (1.0 if k == l else 0.0)) <= 1e-10
 
 
+def test_basis_is_shared_and_read_only():
+    basis = fourier_basis(21, 200)
+    assert fourier_basis(21, 200) is basis
+    with pytest.raises(ValueError, match="read-only"):
+        basis.eval_matrix[0, 0] = 2.0
+    assert basis.eval_matrix[0, 0] == 1.0
+
+
 def test_order_validation():
     with pytest.raises(ValueError, match="odd"):
         fourier_basis(4, 64)
