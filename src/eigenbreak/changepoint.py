@@ -149,7 +149,7 @@ def cusum_objective(sample, k: int, *, mode: str = "coeff") -> float:
 def search_range(n: int, epsilon: float) -> tuple[int, int]:
     """Inclusive candidate range [ceil(N*eps), floor(N*(1-eps))] clipped to [1, N-1]."""
     if not 0.0 <= epsilon < 0.5:
-        raise ValueError(f"boundary trim must lie in [0, 0.5), got {epsilon}")
+        raise ValueError(f"boundary trim epsilon must lie in [0, 0.5), got {epsilon}")
     lo = max(1, int(np.ceil(n * epsilon - FLOOR_GUARD)))
     hi = min(n - 1, int(np.floor(n * (1.0 - epsilon) + FLOOR_GUARD)))
     return lo, hi

@@ -21,16 +21,17 @@ import math
 import os
 import re
 import sys
+import types
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from itertools import compress
 from operator import itemgetter
 
 import numpy as np
 
-from .changepoint import estimate_changepoint
+from .changepoint import estimate_changepoint, search_range
 from .covkern import SplitSample, sequential_kernel
-from .datagen import DGPSpec, generate
+from .datagen import BREAK_KINDS, DEPENDENCES, DGPSpec, generate
 from .eigensys import eigendecompose
 from .funcspace import CoeffSeries, _least_squares, fourier_basis
 from .harness import ExperimentConfig, epsilon_sweep, run_experiment
@@ -40,8 +41,8 @@ from .selfnorm import (
     DEFAULT_PIVOT_SEED,
     NuMeasure,
     PivotDistribution,
+    cached_pivot,
     decide,
-    default_pivot,
     eigenfunction_diff_path,
     eigenvalue_diff_path,
     self_normalizer,
@@ -60,6 +61,7 @@ __all__ = [
 
 DAYS_PER_YEAR = 365
 DEFAULT_MIN_DAYS = 360
+MIN_YEARS = 8
 DEFAULT_ANGLES = (math.pi / 16, math.pi / 8, math.pi / 4, 2 * math.pi / 5)
 DEFAULT_DIVISORS = (50, 100, 200)
 DEFAULT_ALPHAS = (0.10, 0.05, 0.01)
@@ -304,8 +306,8 @@ def _resolve_pivot(K: int, cache_path) -> PivotDistribution:
                     f"quantile cache {cache_path} was built for K={pivot.K}, need K={K}"
                 )
             return pivot
-        default_pivot(K).save(cache_path)
-    return default_pivot(K)
+        cached_pivot(K).save(cache_path)
+    return cached_pivot(K)
 
 
 def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
@@ -330,13 +332,17 @@ def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
         raise ValueError(f"eigenvalue threshold divisors must be positive, got {list(divisors)}")
     if not alphas:
         raise ValueError("significance levels 'alphas' must not be empty")
+    for name, j in (("j_fun", j_fun), ("j_val", j_val)):
+        if not 1 <= j <= order:
+            raise ValueError(f"eigen index {name} must lie in 1..T={order}, got {j}")
+    search_range(MIN_YEARS, epsilon)  # refuses a trim outside [0, 0.5) before ingestion
     alphas = tuple(sorted(alphas, reverse=True))
     ingest = ingest_daily(csv_path, order, min_days)
     n_years = ingest.series.n_obs
-    if n_years < 8:
-        raise ValueError(f"analysis needs at least 8 retained years, got {n_years}")
+    if n_years < MIN_YEARS:
+        raise ValueError(f"analysis needs at least {MIN_YEARS} retained years, got {n_years}")
     if pivot is None:
-        pivot = default_pivot(K)
+        pivot = cached_pivot(K)
     coeffs = ingest.series.coeffs
     cusum_input = coeffs - coeffs.mean(axis=0) if center_cusum else coeffs
     estimate = estimate_changepoint(cusum_input, epsilon)
@@ -467,8 +473,23 @@ def _write_segment_eigendata(out_dir, basis, pre_system, post_system) -> None:
 # experiment config files
 
 
-def _read_json_object(path, known, label: str) -> dict:
-    """Parse a JSON config file that must hold an object with keys from ``known``."""
+def _is_of_type(value, kind) -> bool:
+    """JSON value check: an int counts as a float, bools count only as bools.
+
+    A JSON array stands for a ``list[X]`` or ``tuple[X, ...]`` setting, and
+    ``X | None`` also takes null.
+    """
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (typing.Union, types.UnionType):
+        return any(_is_of_type(value, arg) for arg in args)
+    if origin in (list, tuple):
+        return isinstance(value, list) and all(_is_of_type(item, args[0]) for item in value)
+    accepted = (int, float) if kind is float else kind
+    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
+
+
+def _read_json_object(path, kinds: dict, label: str) -> dict:
+    """Parse a JSON config file holding an object; ``kinds`` maps each key to its type."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -476,11 +497,16 @@ def _read_json_object(path, known, label: str) -> dict:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    unknown = sorted(set(data) - set(known))
+    unknown = sorted(set(data) - set(kinds))
     if unknown:
         raise ValueError(
-            f"{path}: unknown {label} fields {unknown}; valid fields are {sorted(known)}"
+            f"{path}: unknown {label} fields {unknown}; valid fields are {sorted(kinds)}"
         )
+    for key, value in data.items():
+        kind = kinds[key]
+        if not _is_of_type(value, kind):
+            name = kind.__name__ if typing.get_origin(kind) is None else str(kind)
+            raise ValueError(f"{path}: {label} field {key!r} must be of type {name}, got {value!r}")
     return data
 
 
@@ -488,27 +514,23 @@ def load_experiment_config(path, overrides: dict | None = None) -> tuple[Experim
     """Read a JSON experiment config; returns (config, epsilons or None).
 
     The file holds the fields of ExperimentConfig; an optional extra key
-    ``epsilons`` requests a boundary-trim sweep.  Unknown keys and invalid
-    values are reported by name.
+    ``epsilons`` requests a boundary-trim sweep.  Each value must have its
+    field's JSON type: an integer for an ``int`` field, any number for a
+    ``float`` field, a boolean for ``center``, and an array for ``n_list``,
+    ``magnitudes``, ``tau`` and ``epsilons``.  The values, ``overrides``
+    (which skip the type check) and every sweep trim must then pass
+    ExperimentConfig's rules.  Unknown keys and invalid values are
+    reported by name before any replicate runs.
     """
-    data = _read_json_object(path, {f.name for f in fields(ExperimentConfig)} | {"epsilons"},
-                             "config")
+    kinds = {**typing.get_type_hints(ExperimentConfig), "epsilons": list[float]}
+    data = _read_json_object(path, kinds, "config")
     epsilons = data.pop("epsilons", None)
-    if epsilons is not None and (
-        not isinstance(epsilons, list) or not epsilons
-        or not all(isinstance(e, (int, float)) for e in epsilons)
-    ):
-        raise ValueError(f"{path}: field 'epsilons' must be a nonempty list of numbers")
-    for name in ("magnitudes", "n_list", "tau"):
-        if name in data and isinstance(data[name], list):
-            data[name] = tuple(data[name])
-    if overrides:
-        data.update(overrides)
+    data.update(overrides or {})
     try:
         config = ExperimentConfig(**data)
-    except TypeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    except ValueError as exc:
+        for eps in epsilons or ():
+            replace(config, epsilon=eps)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return config, epsilons
 
@@ -526,7 +548,7 @@ ANALYZE_SETTINGS = {
     "csv": (str, None),
     "T": (int, 41),
     "epsilon": (float, 0.01),
-    "angles": (list[float], DEFAULT_ANGLES),
+    "angles": (list[float | str], DEFAULT_ANGLES),
     "j_fun": (int, 5),
     "j_val": (int, 12),
     "divisors": (list[int], DEFAULT_DIVISORS),
@@ -553,34 +575,15 @@ def apply_analyze_config(args, defaults: dict) -> None:
             setattr(args, key, value)
 
 
-def _is_of_type(value, kind) -> bool:
-    """JSON value check: an int counts as a float, bools count only as bools."""
-    if typing.get_origin(kind) is list:
-        (item_kind,) = typing.get_args(kind)
-        return isinstance(value, list) and all(_is_of_type(item, item_kind) for item in value)
-    accepted = (int, float) if kind is float else kind
-    return isinstance(value, bool) == (kind is bool) and isinstance(value, accepted)
-
-
 def _read_analyze_config(path) -> dict:
-    data = _read_json_object(path, ANALYZE_SETTINGS, "analyze")
-    angles = data.get("angles")
-    if isinstance(angles, list):
+    data = _read_json_object(path, {key: kind for key, (kind, _) in ANALYZE_SETTINGS.items()},
+                             "analyze")
+    if "angles" in data:
         # angles may also be pi expressions such as "pi/16"
         try:
-            data["angles"] = [
-                parse_float_or_pi(str(v)) if isinstance(v, str) or _is_of_type(v, float) else v
-                for v in angles
-            ]
+            data["angles"] = [parse_float_or_pi(str(v)) for v in data["angles"]]
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"{path}: analyze field 'angles': {exc}") from None
-    for key, value in data.items():
-        kind = ANALYZE_SETTINGS[key][0]
-        if not _is_of_type(value, kind):
-            name = kind.__name__ if typing.get_origin(kind) is None else str(kind)
-            raise ValueError(
-                f"{path}: analyze field {key!r} must be of type {name}, got {value!r}"
-            )
     return data
 
 
@@ -716,9 +719,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--years", type=int, required=True)
     g.add_argument("--T", type=int, default=21)
     g.add_argument("--theta0", type=float, default=0.5)
-    g.add_argument("--dependence", choices=("iid", "fma1"), default="iid")
-    g.add_argument("--break-kind", choices=("none", "eigenvalue_shift", "rotation"),
-                   default="none", dest="break_kind")
+    g.add_argument("--dependence", choices=DEPENDENCES, default="iid")
+    g.add_argument("--break-kind", choices=BREAK_KINDS, default="none", dest="break_kind")
     g.add_argument("--magnitude", type=parse_float_or_pi, default=0.0,
                    help="break size: E for eigenvalue_shift, angle for rotation (pi/3 allowed)")
     g.add_argument("--seed", type=int, default=0)

@@ -29,7 +29,6 @@ __all__ = [
 
 DEPENDENCES = ("iid", "fma1")
 BREAK_KINDS = ("none", "eigenvalue_shift", "rotation")
-INNOVATIONS = ("gaussian", "student_t")
 
 DEFAULT_ORDER = 21
 DEFAULT_GRID = 200
@@ -65,8 +64,6 @@ class DGPSpec:
     magnitude: float = 0.0
     seed: int | None = None
     grid_size: int = DEFAULT_GRID
-    innovations: str = "gaussian"
-    t_dof: float = 5.0
 
     def __post_init__(self):
         if self.N < 4:
@@ -84,12 +81,8 @@ class DGPSpec:
             raise ValueError(f"unknown dependence {self.dependence!r}; expected one of {DEPENDENCES}")
         if self.break_kind not in BREAK_KINDS:
             raise ValueError(f"unknown break kind {self.break_kind!r}; expected one of {BREAK_KINDS}")
-        if self.innovations not in INNOVATIONS:
-            raise ValueError(f"unknown innovations {self.innovations!r}; expected one of {INNOVATIONS}")
         if self.break_kind == "eigenvalue_shift" and not 0.0 <= self.magnitude <= 1.0:
             raise ValueError(f"eigenvalue-shift magnitude must lie in [0,1], got {self.magnitude}")
-        if self.innovations == "student_t" and self.t_dof <= 2.0:
-            raise ValueError("student-t innovations need more than 2 degrees of freedom")
         object.__setattr__(self, "tau", tau)
 
 
@@ -167,13 +160,7 @@ def generate(spec: DGPSpec, rng: np.random.Generator | None = None) -> CoeffSeri
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    scale = np.sqrt(spec.tau)
-    size = (spec.N + 1, spec.T)
-    if spec.innovations == "gaussian":
-        eps = rng.standard_normal(size) * scale
-    else:
-        unit = rng.standard_t(spec.t_dof, size) * np.sqrt((spec.t_dof - 2.0) / spec.t_dof)
-        eps = unit * scale
+    eps = rng.standard_normal((spec.N + 1, spec.T)) * np.sqrt(spec.tau)
     if spec.dependence == "fma1":
         psi = fma1_psi(spec.T)
         ma_matrix = rng.normal(0.0, np.sqrt(psi), (spec.T, spec.T))

@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .changepoint import estimate_changepoint
+from .changepoint import estimate_changepoint, search_range
 from .covkern import SplitSample
-from .datagen import BREAK_KINDS, DEPENDENCES, DGPSpec, generate
+from .datagen import DGPSpec, generate
 from .selfnorm import (
     DEFAULT_K,
     DEFAULT_PIVOT_REPLICATES,
@@ -89,12 +89,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.test_kind not in TEST_KINDS:
             raise ValueError(f"unknown test kind {self.test_kind!r}; expected one of {TEST_KINDS}")
-        if self.break_kind not in BREAK_KINDS:
-            raise ValueError(f"unknown break kind {self.break_kind!r}; expected one of {BREAK_KINDS}")
-        if self.dependence not in DEPENDENCES:
-            raise ValueError(f"unknown dependence {self.dependence!r}; expected one of {DEPENDENCES}")
-        if self.j < 1:
-            raise ValueError(f"eigen index must be >= 1, got {self.j}")
         if self.delta < 0.0:
             raise ValueError(f"relevance threshold must be nonnegative, got {self.delta}")
         if len(self.magnitudes) == 0:
@@ -105,10 +99,26 @@ class ExperimentConfig:
             raise ValueError(f"need at least one replicate, got {self.replicates}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"test level must lie in (0,1), got {self.alpha}")
+        if self.pivot_replicates < 1:
+            raise ValueError(f"pivot_replicates must be at least 1, got {self.pivot_replicates}")
         object.__setattr__(self, "magnitudes", tuple(float(m) for m in self.magnitudes))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.tau is not None:
             object.__setattr__(self, "tau", tuple(float(t) for t in self.tau))
+        # the rules of the data model, the measure and the trim live with them
+        NuMeasure(self.K)
+        search_range(min(self.n_list), self.epsilon)
+        for n_obs in self.n_list:
+            for magnitude in self.magnitudes:
+                self.spec(n_obs, magnitude)
+        if not 1 <= self.j <= self.T:
+            raise ValueError(f"eigen index j must lie in 1..T={self.T}, got {self.j}")
+
+    def spec(self, n_obs: int, magnitude: float) -> DGPSpec:
+        """Data model of the cell (n_obs, magnitude)."""
+        return DGPSpec(N=n_obs, T=self.T, theta0=self.theta0, tau=self.tau,
+                       dependence=self.dependence, break_kind=self.break_kind,
+                       magnitude=magnitude)
 
     def config_hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
@@ -201,16 +211,7 @@ def run_replicate(config: ExperimentConfig, n_obs: int, magnitude: float,
     entropy = (config.seed, n_obs, _magnitude_bits(magnitude), rep)
     try:
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        spec = DGPSpec(
-            N=n_obs,
-            T=config.T,
-            theta0=config.theta0,
-            tau=None if config.tau is None else np.asarray(config.tau),
-            dependence=config.dependence,
-            break_kind=config.break_kind,
-            magnitude=magnitude,
-        )
-        series = generate(spec, rng)
+        series = generate(config.spec(n_obs, magnitude), rng)
         estimate = estimate_changepoint(series.coeffs, config.epsilon)
         split = SplitSample.at_index(series.coeffs, estimate.k_hat)
         nu = NuMeasure(config.K)
@@ -320,7 +321,8 @@ def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None
     config : ExperimentConfig
         Template; its epsilon field is replaced by each sweep value.
     epsilons : iterable of float
-        Boundary trims to compare.
+        Boundary trims to compare, at least one; every trim is checked
+        before the first replicate runs.
     hist_bins : int
         Number of equal-width histogram bins on [0,1] for theta_hat.
 
@@ -328,16 +330,19 @@ def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None
     -------
     EpsilonSweep
     """
+    sweep = [replace(config, epsilon=float(eps)) for eps in epsilons]
+    if not sweep:
+        raise ValueError("an epsilon sweep needs at least one boundary trim")
     tables = []
     histograms = []
-    for eps in epsilons:
-        table, cell_thetas = _tabulate(replace(config, epsilon=float(eps)), workers)
-        tables.append((float(eps), table))
+    for eps_config in sweep:
+        table, cell_thetas = _tabulate(eps_config, workers)
+        tables.append((eps_config.epsilon, table))
         for row, thetas in zip(table.rows, cell_thetas):
             counts, edges = np.histogram(thetas, bins=hist_bins, range=(0.0, 1.0))
             histograms.append(
                 HistogramData(
-                    epsilon=float(eps),
+                    epsilon=eps_config.epsilon,
                     n_obs=row.n_obs,
                     magnitude=row.magnitude,
                     counts=counts,

@@ -27,7 +27,6 @@ __all__ = [
     "simulate_pivot",
     "cached_pivot",
     "seed_pivot_cache",
-    "default_pivot",
     "sequential_eigensystem_paths",
     "eigenvalue_diff_path",
     "eigenfunction_diff_path",
@@ -262,11 +261,6 @@ def cached_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
         pivot = simulate_pivot(K, R, seed)
         seed_pivot_cache(pivot)
     return pivot
-
-
-def default_pivot(K: int = DEFAULT_K) -> PivotDistribution:
-    """Process-local cached pivot sample at the shipped defaults."""
-    return cached_pivot(K)
 
 
 @dataclass(frozen=True)

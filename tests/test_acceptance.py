@@ -39,8 +39,8 @@ from eigenbreak.harness import (
 from eigenbreak.selfnorm import (
     DiffPath,
     NuMeasure,
+    cached_pivot,
     decide,
-    default_pivot,
     self_normalizer,
     simulate_pivot,
 )
@@ -359,7 +359,7 @@ def _analyze_synthetic(spec: DGPSpec, tmp_path, start_year: int, out_dir=None, *
     series = generate(spec)
     csv_path = tmp_path / "series.csv"
     write_daily_csv(series, start_year, csv_path)
-    return run_analysis(csv_path, out_dir, pivot=default_pivot(20), **kwargs)
+    return run_analysis(csv_path, out_dir, pivot=cached_pivot(20), **kwargs)
 
 
 def test_criterion_9a_planted_rotation_pipeline(tmp_path):

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from eigenbreak import cli, harness
 from eigenbreak.cli import (
     apply_analyze_config,
     build_parser,
@@ -222,6 +224,75 @@ def test_config_rejects_unknown_fields(tmp_path):
         load_experiment_config(cfg)
 
 
+#: one-field edits of figure1.json, each with a text its refusal must show
+_BAD_EXPERIMENT_FIELDS = [
+    # silently ran another experiment before types were checked
+    ({"n_list": [200.5]}, "'n_list'"),
+    ({"center": "no"}, "'center'"),
+    ({"replicates": True}, "'replicates'"),
+    # failed in replicate 0 with a RuntimeError traceback
+    ({"K": 1}, "K >= 2"),
+    ({"K": 20.5}, "'K'"),
+    ({"T": 4}, "basis order"),
+    ({"j": 30}, "eigen index j"),
+    ({"theta0": 1.5}, "break fraction"),
+    ({"tau": [1, 2, 3]}, "tau must have length"),
+    ({"n_list": [3]}, "sample size must be at least 4"),
+    ({"magnitudes": [1.5]}, "eigenvalue-shift magnitude"),
+    ({"epsilon": 0.7}, "boundary trim epsilon"),
+    ({"epsilon": "0.1"}, "'epsilon'"),
+    ({"seed": "x"}, "'seed'"),
+    ({"pivot_replicates": 0}, "pivot_replicates"),
+    ({"epsilons": [True]}, "'epsilons'"),
+    ({"epsilons": [0.05, 0.7]}, "boundary trim epsilon"),
+    # exited 1 with a message that named nothing
+    ({"magnitudes": "0.1"}, "'magnitudes'"),
+    ({"replicates": "10"}, "'replicates'"),
+    ({"tau": 3}, "'tau'"),
+    ({"alpha": None}, "'alpha'"),
+]
+
+
+def _figure1_with(tmp_path, field):
+    shipped = resources.files("eigenbreak").joinpath("configs", "figure1.json")
+    cfg = tmp_path / "figure1.json"
+    cfg.write_text(json.dumps({**json.loads(shipped.read_text()), **field}))
+    return cfg
+
+
+@pytest.mark.parametrize("field, message", _BAD_EXPERIMENT_FIELDS,
+                         ids=[json.dumps(field) for field, _ in _BAD_EXPERIMENT_FIELDS])
+def test_simulate_refuses_invalid_config_before_any_replicate(tmp_path, capsys, monkeypatch,
+                                                              field, message):
+    def fail(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "run_replicate", fail)
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", "--config", str(_figure1_with(tmp_path, field)),
+               "--out-dir", str(out_dir), "--workers", "1"])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("field", [{"magnitudes": [0, 1]}, {"tau": None}, {}],
+                         ids=["int-magnitudes", "null-tau", "unchanged"])
+def test_experiment_config_accepts_valid_json_types(tmp_path, field):
+    config, epsilons = load_experiment_config(_figure1_with(tmp_path, field))
+    assert epsilons is None
+    if "magnitudes" in field:
+        assert config.magnitudes == (0.0, 1.0)
+        assert all(type(m) is float for m in config.magnitudes)
+
+
+@pytest.mark.parametrize("name", ["figure1", "figure3"])
+def test_shipped_configs_load(name):
+    path = resources.files("eigenbreak").joinpath("configs", f"{name}.json")
+    config, epsilons = load_experiment_config(path)
+    assert epsilons is None and config.n_list == (200, 400, 600)
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                "--out-dir", str(tmp_path)])
@@ -316,8 +387,8 @@ def test_analysis_needs_eight_years(tmp_path, small_pivot):
     series = generate(DGPSpec(N=5, T=5, seed=2))
     csv_path = tmp_path / "short.csv"
     write_daily_csv(series, 1900, csv_path)
-    with pytest.raises(ValueError, match="8"):
-        run_analysis(csv_path, None, order=5, pivot=small_pivot)
+    with pytest.raises(ValueError, match="at least 8 retained years"):
+        run_analysis(csv_path, None, order=5, j_val=5, pivot=small_pivot)
 
 
 def test_analyze_command_with_quantile_cache(tmp_path):
@@ -441,6 +512,28 @@ def test_analyze_rejects_empty_alphas_config(tmp_path, capsys, ten_year_csv):
     rc = main(["analyze", "--config", str(cfg)])
     assert rc == 1
     assert "'alphas' must not be empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, setting", [
+    (["--T", "5"], "j_val"),  # the default --j-val 12 exceeds T
+    (["--T", "5", "--j-fun", "6", "--j-val", "3"], "j_fun"),
+    (["--j-fun", "0"], "j_fun"),
+    (["--j-val", "-1"], "j_val"),
+    (["--epsilon", "0.5"], "epsilon"),
+])
+def test_analyze_refuses_bad_settings_before_ingestion(tmp_path, capsys, monkeypatch,
+                                                       ten_year_csv, flags, setting):
+    def fail(*args):
+        raise AssertionError("the file was ingested")
+
+    monkeypatch.setattr(cli, "ingest_daily", fail)
+    csv_path, cache = ten_year_csv
+    out_dir = tmp_path / "out"
+    rc = main(["analyze", "--csv", str(csv_path), *flags, "--quantile-cache", str(cache),
+               "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert setting in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_eigenvalue_threshold_past_the_rank_is_zero(tmp_path, ten_year_csv):

@@ -140,12 +140,3 @@ def test_spec_validation():
         DGPSpec(N=10, break_kind="eigenvalue_shift", magnitude=1.5)
     with pytest.raises(ValueError, match="non-increasing"):
         DGPSpec(N=10, T=3, tau=np.array([1.0, 2.0, 3.0]))
-
-
-def test_student_t_hook_matches_variances():
-    spec = DGPSpec(N=20000, T=3, seed=11, innovations="student_t", t_dof=8.0)
-    coeffs = generate(spec).coeffs
-    tau = default_tau(3)
-    for k in range(3):
-        se = np.sqrt(2.0 / 20000) * tau[k] * 2.0  # inflated for heavy tails
-        assert coeffs[:, k].var() == pytest.approx(tau[k], abs=4.0 * se)

@@ -39,6 +39,37 @@ def test_config_validation():
         ExperimentConfig(**{**SMALL, "break_kind": "jump"})
 
 
+@pytest.mark.parametrize("field, message", [
+    ({"n_list": (3,)}, "sample size must be at least 4"),
+    ({"n_list": (60, 3)}, "sample size must be at least 4"),
+    ({"dependence": "ar1"}, "dependence"),
+    ({"magnitudes": (0.1, 1.5)}, "eigenvalue-shift magnitude"),
+    ({"T": 4}, "basis order"),
+    ({"j": 22}, "eigen index j"),
+    ({"j": 0}, "eigen index j"),
+    ({"K": 1}, "K >= 2"),
+    ({"epsilon": 0.5}, "boundary trim epsilon"),
+    ({"pivot_replicates": 0}, "pivot_replicates"),
+])
+def test_config_refuses_every_invalid_cell(field, message):
+    # the data model's, the measure's and the trim's rules apply at
+    # construction, not in replicate 0 of the first bad cell
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**{**SMALL, **field})
+
+
+def test_epsilon_sweep_checks_every_trim_first(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(harness, "run_replicate", fail)
+    config = ExperimentConfig(**SMALL)
+    with pytest.raises(ValueError, match="boundary trim epsilon"):
+        epsilon_sweep(config, [0.05, 0.7], workers=1)
+    with pytest.raises(ValueError, match="at least one boundary trim"):
+        epsilon_sweep(config, [], workers=1)
+
+
 def test_default_magnitude_grid_spans_four_boundaries():
     grid = default_magnitude_grid(0.1)
     assert len(grid) == 9

@@ -19,7 +19,6 @@ from eigenbreak.selfnorm import (
     eigenfunction_diff_path,
     eigenvalue_diff_path,
     cached_pivot,
-    default_pivot,
     seed_pivot_cache,
     self_normalizer,
     sequential_eigensystem_paths,
@@ -349,7 +348,6 @@ def test_one_process_cache_serves_every_pivot(monkeypatch):
     pivot = cached_pivot(3, 2_000, 9)
     assert cached_pivot(3, 2_000, 9) is pivot
     assert cached_pivot(3, 2_000, 10) is not pivot
-    assert default_pivot(3) is cached_pivot(3)
     own = simulate_pivot(4, 1_000, 1)
     seed_pivot_cache(own)
     assert cached_pivot(4, 1_000, 1) is own
