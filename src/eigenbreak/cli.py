@@ -310,6 +310,26 @@ def _resolve_pivot(K: int, cache_path) -> PivotDistribution:
     return cached_pivot(K)
 
 
+def _check_analysis_settings(*, order: int, epsilon: float, j_fun: int, j_val: int,
+                             divisors, alphas, K: int) -> None:
+    """Refuse an analysis setting before any file is read or pivot simulated.
+
+    Each rule is asked of its owner where there is one: the basis order of
+    ``fourier_basis`` on the daily grid, the trim of ``search_range`` and the
+    pivot grid of ``NuMeasure``.
+    """
+    fourier_basis(order, DAYS_PER_YEAR)
+    if any(d <= 0 for d in divisors):
+        raise ValueError(f"eigenvalue threshold divisors must be positive, got {list(divisors)}")
+    if not alphas:
+        raise ValueError("significance levels 'alphas' must not be empty")
+    for name, j in (("j_fun", j_fun), ("j_val", j_val)):
+        if not 1 <= j <= order:
+            raise ValueError(f"eigen index {name} must lie in 1..T={order}, got {j}")
+    search_range(MIN_YEARS, epsilon)
+    NuMeasure(K)
+
+
 def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
                  angles=DEFAULT_ANGLES, j_fun: int = 5, j_val: int = 12,
                  divisors=DEFAULT_DIVISORS, alphas=DEFAULT_ALPHAS,
@@ -328,14 +348,8 @@ def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
 
     Returns the report dictionary; files are written when ``out_dir`` is set.
     """
-    if any(d <= 0 for d in divisors):
-        raise ValueError(f"eigenvalue threshold divisors must be positive, got {list(divisors)}")
-    if not alphas:
-        raise ValueError("significance levels 'alphas' must not be empty")
-    for name, j in (("j_fun", j_fun), ("j_val", j_val)):
-        if not 1 <= j <= order:
-            raise ValueError(f"eigen index {name} must lie in 1..T={order}, got {j}")
-    search_range(MIN_YEARS, epsilon)  # refuses a trim outside [0, 0.5) before ingestion
+    _check_analysis_settings(order=order, epsilon=epsilon, j_fun=j_fun, j_val=j_val,
+                             divisors=divisors, alphas=alphas, K=K)
     alphas = tuple(sorted(alphas, reverse=True))
     ingest = ingest_daily(csv_path, order, min_days)
     n_years = ingest.series.n_obs
@@ -651,6 +665,10 @@ def _cmd_analyze(args) -> int:
     apply_analyze_config(args, args.analyze_defaults)
     if not args.csv:
         raise ValueError("analyze needs --csv (or a config file providing 'csv')")
+    # every setting is refused before a pivot is simulated or a cache written
+    _check_analysis_settings(order=args.T, epsilon=args.epsilon, j_fun=args.j_fun,
+                             j_val=args.j_val, divisors=args.divisors, alphas=args.alphas,
+                             K=args.K)
     pivot = _resolve_pivot(args.K, args.quantile_cache)
     report = run_analysis(
         args.csv,

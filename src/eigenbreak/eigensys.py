@@ -18,6 +18,7 @@ __all__ = [
     "EigenSystem",
     "eigendecompose",
     "operator_eigh",
+    "gram_eigh",
     "aligned_distance",
     "aligned_distance_sq",
     "gap_warning",
@@ -92,6 +93,30 @@ def operator_eigh(matrices: np.ndarray, weight: float, p: int,
     # eigh returns unit Euclidean columns; unit quadrature norm needs 1/sqrt(w)
     functions = np.swapaxes(vecs[..., ::-1][..., :p], -1, -2) / np.sqrt(weight)
     return vals[..., ::-1][..., :p] * weight, functions
+
+
+def gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int,
+              with_functions: bool = True):
+    """Leading p eigenpairs of ``rows.T @ rows / m`` through its m x m dual.
+
+    ``rows`` holds m observations (m, R) and ``gram`` their Gram matrix
+    ``rows @ rows.T``.  The nonzero eigenvalues of the R x R kernel equal
+    those of ``gram / m``, and a Gram eigenvector u gives the kernel
+    eigenvector ``rows.T @ u``, renormalised here to unit length.  For
+    p <= m < R this decomposes an m x m matrix in place of an R x R one.
+    Returns what :func:`operator_eigh` returns for one matrix, except that a
+    pair whose Gram eigenvector lies in the null space of ``rows.T`` keeps a
+    zero function.
+    """
+    m = rows.shape[0]
+    if not with_functions:
+        return np.linalg.eigvalsh(gram / m)[::-1][:p] * weight, None
+    vals, vecs = np.linalg.eigh(gram / m)
+    functions = vecs[:, ::-1][:, :p].T @ rows
+    # unit Euclidean rows first, then 1/sqrt(w) for unit quadrature norm
+    norms = np.sqrt(weight) * np.linalg.norm(functions, axis=1, keepdims=True)
+    np.divide(functions, norms, out=functions, where=norms > 0.0)
+    return vals[::-1][:p] * weight, functions
 
 
 def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covkern import SplitSample, mode_weight, prefix_count, prefix_moments
-from .eigensys import aligned_distance_sq, gap_warning, operator_eigh
+from .eigensys import aligned_distance_sq, gap_warning, gram_eigh, operator_eigh
 
 __all__ = [
     "NuMeasure",
@@ -46,6 +46,12 @@ DEGENERATE_NORMALIZER = 1e-12
 _PIVOT_CHUNK = 100_000
 _CACHE_GRID = 10_000
 _PIVOT_CACHE_SIZE = 8
+
+#: kernels of fewer dimensions keep every prefix in the R x R stack: there
+#: one more stacked matrix costs 45-60 us, no more than a separate m x m
+#: Gram eigh with numpy's ~25 us fixed cost per call (1 BLAS thread, R=21),
+#: while from R=31 on the Gram form of m <= 3R/4 rows takes half or less
+_GRAM_MIN_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -284,15 +290,35 @@ class EigenPaths:
 
 def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p: int, weight: float,
                    center: bool, with_functions: bool):
-    n = values.shape[0]
+    """Leading p eigenpairs of every lambda-prefix kernel of one segment.
+
+    A prefix of m rows with p <= m < R has rank below R: when R is at least
+    _GRAM_MIN_DIM it is decomposed through the leading m x m block of one
+    segment Gram matrix.  Longer prefixes, shorter ones whose trailing
+    pairs are null-space vectors and every prefix of a smaller kernel go
+    through the R x R stack of prefix kernels; empty prefixes stay zero.
+    """
+    n, r = values.shape
     if center:
         values = values - values.mean(axis=0)
-    counts = [prefix_count(n, lam) for lam in lambdas]
-    vals, funcs = operator_eigh(prefix_moments(values, counts), weight, p, with_functions)
-    empty = np.asarray(counts) == 0
+    counts = np.array([prefix_count(n, lam) for lam in lambdas])
+    # the counts do not decrease, so the Gram-form prefixes are one run
+    dual = (counts >= p) & (counts < r) & (r >= _GRAM_MIN_DIM)
+    stacked = counts[~dual]
+    vals, funcs = operator_eigh(prefix_moments(values, stacked), weight, p, with_functions)
+    empty = stacked == 0
     vals[empty] = 0.0
     if funcs is not None:
         funcs[empty] = 0.0
+    if dual.any():
+        short = counts[dual]
+        head = values[: short[-1]]
+        gram = head @ head.T
+        pairs = [gram_eigh(head[:m], gram[:m, :m], weight, p, with_functions) for m in short]
+        at = dual.argmax()
+        vals = np.concatenate([vals[:at], [v for v, _ in pairs], vals[at:]])
+        if funcs is not None:
+            funcs = np.concatenate([funcs[:at], [f for _, f in pairs], funcs[at:]])
     return vals, funcs
 
 

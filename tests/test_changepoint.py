@@ -13,8 +13,10 @@ from eigenbreak.changepoint import (
     objective_curve,
     search_range,
 )
+from eigenbreak.covkern import SplitSample
 from eigenbreak.datagen import DGPSpec, generate, population_kernels
 from eigenbreak.funcspace import fourier_basis
+from eigenbreak.selfnorm import NuMeasure, sequential_eigensystem_paths
 
 # exact identities of the objective; few derandomized examples keep them cheap
 PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
@@ -279,6 +281,20 @@ def test_objective_memory_is_bounded(shape, mode):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+def test_eigen_path_memory_is_bounded():
+    # a stack of the 20 prefix kernels of one segment takes 20*R^2*8 bytes,
+    # 6.4 MB at R=200; its prefixes shorter than R take the Gram form instead
+    values = np.random.default_rng(44).standard_normal((400, 200))
+    split = SplitSample.at_index(values, 200, mode="grid")
+    tracemalloc.start()
+    try:
+        sequential_eigensystem_paths(split, 1, NuMeasure(20), with_functions=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_wider_trim_never_attains_more():

@@ -6,7 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from eigenbreak import cli, harness
+from eigenbreak import cli, harness, selfnorm
 from eigenbreak.cli import (
     apply_analyze_config,
     build_parser,
@@ -534,6 +534,33 @@ def test_analyze_refuses_bad_settings_before_ingestion(tmp_path, capsys, monkeyp
     assert rc == 1
     assert setting in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--T", "4", "--j-fun", "2", "--j-val", "2"], "basis order"),
+    (["--T", "-3"], "basis order"),
+    (["--divisors", "0"], "divisors"),
+    (["--alphas", ","], "'alphas'"),
+    (["--j-fun", "0"], "j_fun"),
+    (["--j-val", "50"], "j_val"),
+    (["--epsilon", "0.5"], "epsilon"),
+    (["--K", "1"], "K >= 2"),
+])
+def test_analyze_refuses_bad_settings_before_the_pivot(tmp_path, capsys, monkeypatch,
+                                                       ten_year_csv, flags, message):
+    def fail(*args):
+        raise AssertionError("a pivot was simulated")
+
+    # an empty process cache: a resolved pivot would have to be simulated
+    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    monkeypatch.setattr(selfnorm, "simulate_pivot", fail)
+    csv_path, _ = ten_year_csv
+    cache = tmp_path / "fresh.csv"
+    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5", *flags,
+               "--quantile-cache", str(cache), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not cache.exists()
 
 
 def test_eigenvalue_threshold_past_the_rank_is_zero(tmp_path, ten_year_csv):

@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigenbreak import selfnorm
-from eigenbreak.covkern import SplitSample
+from eigenbreak.covkern import SplitSample, mode_weight, prefix_count, prefix_moments
 from eigenbreak.datagen import DGPSpec, generate, population_kernels
-from eigenbreak.eigensys import aligned_distance, eigendecompose
+from eigenbreak.eigensys import (
+    aligned_distance,
+    aligned_distance_sq,
+    eigendecompose,
+    gap_warning,
+    operator_eigh,
+)
 from eigenbreak.funcspace import fourier_basis
 from eigenbreak.selfnorm import (
     DiffPath,
@@ -360,15 +366,17 @@ def test_pivot_cache_refuses_a_quantile_summary(tmp_path, pivot):
 
 
 @st.composite
-def split_samples(draw, dims=st.integers(2, 4)):
+def split_samples(draw, dims=st.one_of(st.integers(2, 4), st.integers(32, 34))):
     """(N, R) sample, its split index and an eigen index.
 
-    Each segment's smallest sub-sample (lambda = 1/20) holds more than R
-    observations, so its eigenfunctions are determined up to sign.
+    Each segment's smallest sub-sample (lambda = 1/20) holds more than j
+    observations, so its leading j + 1 eigenpairs are determined up to sign.
+    Where R >= 32, segments shorter than 20 R have sub-samples of fewer
+    than R rows, which take the Gram form.
     """
     r = draw(dims)
-    n1, n2 = (draw(st.integers(20 * (r + 1), 20 * (r + 1) + 60)) for _ in range(2))
-    j = draw(st.integers(1, r - 1))
+    j = draw(st.integers(1, min(r - 1, 3)))
+    n1, n2 = (draw(st.integers(20 * (j + 1), 20 * (r + 1) + 60)) for _ in range(2))
     values = np.random.default_rng(draw(SEEDS)).standard_normal((n1 + n2, r))
     return values, n1, j
 
@@ -437,12 +445,109 @@ def test_eigen_statistics_scale_with_the_data(sample, c):
 
 
 @PROPERTY
-@given(sample=split_samples(dims=st.sampled_from([3, 5])), extra_nodes=st.integers(0, 8))
+@given(sample=split_samples(dims=st.sampled_from([3, 5, 17])), extra_nodes=st.integers(0, 8))
 def test_eigen_statistics_agree_in_coeff_and_grid_mode(sample, extra_nodes):
     # midpoint quadrature is exact for products of the basis functions, so
-    # the grid values of Fourier coefficients carry the same operator
+    # the grid values of Fourier coefficients carry the same operator; at
+    # order 17 the grid has at least 32 nodes and takes the Gram form
     coeffs, k, j = sample
     order = coeffs.shape[1]
     basis = fourier_basis(order, 2 * (order - 1) + extra_nodes)
     assert_statistics_close(eigen_statistics(coeffs @ basis.eval_matrix.T, k, j, mode="grid"),
                             eigen_statistics(coeffs, k, j), UNCHANGED)
+
+
+def stack_paths(segment, lambdas, p, weight, center, with_functions):
+    """Reference eigen paths: every prefix kernel through the R x R stack."""
+    values = segment - segment.mean(axis=0) if center else segment
+    counts = [prefix_count(len(values), lam) for lam in lambdas]
+    vals, funcs = operator_eigh(prefix_moments(values, counts), weight, p, with_functions)
+    empty = np.asarray(counts) == 0
+    vals[empty] = 0.0
+    if funcs is not None:
+        funcs[empty] = 0.0
+    return vals, funcs
+
+
+def assert_paths_match_stack(split, p_max, nu, center, with_functions):
+    """Eigen paths agree with the stack: eigenvalues to 1e-10 of the leading
+    one, tested eigenfunctions by sign-free distance wherever the gap is clear."""
+    paths = sequential_eigensystem_paths(split, p_max, nu, center=center,
+                                         with_functions=with_functions)
+    r = split.pre.shape[1]
+    weight = mode_weight(split.mode, r)
+    p = min(r, p_max + 1)
+    for segment, vals, funcs in ((split.pre, paths.values1, paths.functions1),
+                                 (split.post, paths.values2, paths.functions2)):
+        ref_vals, ref_funcs = stack_paths(segment, paths.lambdas, p, weight, center,
+                                          with_functions)
+        scale = np.abs(ref_vals[:, :1])
+        assert np.all(np.abs(vals - ref_vals) <= 1e-10 * scale)
+        if not with_functions:
+            assert funcs is None
+            continue
+        for i, row in enumerate(ref_vals):
+            for j in range(1, p_max + 1):
+                if gap_warning(row, j) is None:
+                    dist_sq = aligned_distance_sq(funcs[i, j - 1], ref_funcs[i, j - 1],
+                                                  weight=weight)
+                    assert dist_sq <= 1e-14, (i, j, dist_sq)
+
+
+@st.composite
+def short_segments(draw):
+    """A split sample whose sub-samples run from below p to at least R rows."""
+    r = draw(st.integers(selfnorm._GRAM_MIN_DIM - 1, selfnorm._GRAM_MIN_DIM + 8))
+    p_max = draw(st.integers(1, r - 2))
+    n1, n2 = (draw(st.integers(1, 3 * r)) for _ in range(2))
+    mode = draw(st.sampled_from(["coeff", "grid"]))
+    values = np.random.default_rng(draw(SEEDS)).standard_normal((n1 + n2, r))
+    return SplitSample.at_index(values, n1, mode=mode), p_max
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sample=short_segments(), center=st.booleans(), with_functions=st.booleans())
+def test_gram_form_agrees_with_the_kernel_stack(sample, center, with_functions):
+    split, p_max = sample
+    assert_paths_match_stack(split, p_max, NU, center, with_functions)
+
+
+@pytest.mark.parametrize("mode", ["coeff", "grid"])
+@pytest.mark.parametrize("center", [False, True])
+def test_gram_form_of_repeated_rows(mode, center):
+    # each row twice: a prefix of m rows has rank ceil(m/2), so its Gram is
+    # rank-deficient and the trailing kept pairs are null-space vectors
+    rows = np.random.default_rng(23).standard_normal((20, 36))
+    values = np.repeat(rows, 2, axis=0)
+    split = SplitSample.at_index(values, 24, mode=mode)
+    for p_max in (1, 3, 6):
+        assert_paths_match_stack(split, p_max, NU, center, with_functions=True)
+        paths = sequential_eigensystem_paths(split, p_max, NU, center=center)
+        assert np.all(np.isfinite(paths.functions1)) and np.all(np.isfinite(paths.functions2))
+
+
+@pytest.mark.parametrize("r, m, shapes", [
+    (32, 2, [(2, 32, 32)]),             # m = p - 1: the stack
+    (32, 3, [(1, 32, 32), (3, 3)]),     # m = p: the Gram form
+    (32, 31, [(1, 32, 32), (31, 31)]),  # m = R - 1
+    (32, 32, [(2, 32, 32)]),            # m = R: the stack
+    (31, 3, [(2, 31, 31)]),             # R below _GRAM_MIN_DIM: the stack
+])
+@pytest.mark.parametrize("with_functions", [False, True])
+def test_gram_form_boundaries(monkeypatch, r, m, shapes, with_functions):
+    # p = 3; the prefixes hold m and all 64 rows of the segment
+    seen = []
+    for name in ("eigh", "eigvalsh"):
+        def record(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            seen.append(np.shape(a))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    values = np.random.default_rng(m).standard_normal((64, r))
+    lambdas = np.array([m / 64, 1.0])
+    vals, funcs = selfnorm._segment_paths(values, lambdas, 3, 1.0, False, with_functions)
+    assert seen == shapes
+    monkeypatch.undo()
+    ref_vals, ref_funcs = stack_paths(values, lambdas, 3, 1.0, False, with_functions)
+    np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0.0)
+    if with_functions:
+        np.testing.assert_allclose(aligned_distance_sq(funcs, ref_funcs), 0.0, atol=1e-14)
