@@ -22,7 +22,7 @@ from .datagen import (
     generate,
     population_kernels,
 )
-from .eigensys import EigenSystem, aligned_distance, eigendecompose
+from .eigensys import EigenSystem, eigendecompose
 from .funcspace import (
     CoeffSeries,
     FourierBasis,
@@ -61,7 +61,6 @@ __all__ = [
     "kernel_distance_sq",
     "EigenSystem",
     "eigendecompose",
-    "aligned_distance",
     "ChangePointEstimate",
     "cusum_objective",
     "objective_curve",

@@ -122,7 +122,7 @@ def objective_curve(sample, *, mode: str = "coeff") -> np.ndarray:
     Either way it holds O(R^2 + N) floats plus blocks of at most
     SCAN_BLOCK_BYTES, never an (N, R, R) array.
     """
-    values, mode = as_matrix(sample, mode)
+    values = as_matrix(sample, mode)
     n, r = values.shape
     if n < 2:
         raise ValueError("the objective needs at least two observations")
@@ -136,7 +136,7 @@ def objective_curve(sample, *, mode: str = "coeff") -> np.ndarray:
 
 def cusum_objective(sample, k: int, *, mode: str = "coeff") -> float:
     """Weighted squared kernel distance between the first k and last N-k observations."""
-    values, mode = as_matrix(sample, mode)
+    values = as_matrix(sample, mode)
     n = values.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"split index must lie in [1, {n - 1}], got {k}")
@@ -161,8 +161,8 @@ def estimate_changepoint(sample, epsilon: float = 0.05, *,
 
     Parameters
     ----------
-    sample : sample of functions
-        At least 4 observations.
+    sample : array_like
+        (N, R) rows, N >= 4, read according to ``mode``.
     epsilon : float
         Boundary trim in [0, 0.5); candidate splits are restricted to
         [N*epsilon, N*(1-epsilon)].  With epsilon = 0 every split
@@ -174,7 +174,7 @@ def estimate_changepoint(sample, epsilon: float = 0.05, *,
         Smallest maximizing index (deterministic tie-break) with the
         objective values over the searched range.
     """
-    values, mode = as_matrix(sample, mode)
+    values = as_matrix(sample, mode)
     n = values.shape[0]
     if n < 4:
         raise ValueError(f"change point estimation needs at least 4 observations, got {n}")

@@ -273,8 +273,7 @@ def write_daily_csv(series: CoeffSeries, start_year: int, path) -> None:
     for year in (start_year, start_year + series.n_obs - 1):
         if not datetime.MINYEAR <= year <= datetime.MAXYEAR:
             raise ValueError(f"year {year} is out of range")
-    positions = (np.arange(1, DAYS_PER_YEAR + 1) - 0.5) / DAYS_PER_YEAR
-    design = series.basis.evaluate(positions)
+    design = fourier_basis(series.basis.order, DAYS_PER_YEAR).eval_matrix
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("date,value\n")
         for year, row in enumerate(series.coeffs, start=start_year):
@@ -298,16 +297,19 @@ def _classify(rejections: dict[float, bool], alphas) -> str:
 
 
 def _resolve_pivot(K: int, cache_path) -> PivotDistribution:
-    if cache_path:
-        if os.path.exists(cache_path):
-            pivot = PivotDistribution.load(cache_path)
-            if pivot.K != K:
-                raise ValueError(
-                    f"quantile cache {cache_path} was built for K={pivot.K}, need K={K}"
-                )
-            return pivot
+    """The default pivot, or the quantile summary in ``cache_path``.
+
+    A missing cache is written from the default pivot and read back, so the
+    run that writes it decides as every later run does.
+    """
+    if not cache_path:
+        return cached_pivot(K)
+    if not os.path.exists(cache_path):
         cached_pivot(K).save(cache_path)
-    return cached_pivot(K)
+    pivot = PivotDistribution.load(cache_path)
+    if pivot.K != K:
+        raise ValueError(f"quantile cache {cache_path} was built for K={pivot.K}, need K={K}")
+    return pivot
 
 
 def _check_analysis_settings(*, order: int, epsilon: float, j_fun: int, j_val: int,
@@ -478,8 +480,7 @@ def _write_segment_eigendata(out_dir, basis, pre_system, post_system) -> None:
         fh.write("segment,j,t,value\n")
         for name, system in (("pre", pre_system), ("post", post_system)):
             for j, row in enumerate(system.eigenfunctions[:5], start=1):
-                values = basis.eval_matrix @ row if system.mode == "coeff" else row
-                for t, value in zip(nodes, values):
+                for t, value in zip(nodes, basis.eval_matrix @ row):
                     fh.write(f"{name},{j},{float(t)!r},{float(value)!r}\n")
 
 

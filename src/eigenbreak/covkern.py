@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcspace import CoeffSeries, GridFunction
-
 __all__ = [
     "CovKernel",
     "SplitSample",
@@ -73,19 +71,14 @@ class CovKernel:
         return self.matrix.shape[0]
 
 
-def as_matrix(sample, mode: str = "coeff") -> tuple[np.ndarray, str]:
-    """Normalize a sample of functions to an (n, R) matrix plus its mode.
+def as_matrix(sample, mode: str = "coeff") -> np.ndarray:
+    """The (n, R) float matrix of a sample's rows, after checking the mode name.
 
-    Accepts a CoeffSeries, a list of GridFunction, or a plain 2-d array
-    (interpreted according to ``mode``).
+    The rows are coefficient vectors or grid values according to ``mode``.
     """
-    if isinstance(sample, CoeffSeries):
-        return sample.coeffs, "coeff"
-    if isinstance(sample, (list, tuple)) and sample and isinstance(sample[0], GridFunction):
-        return np.vstack([g.values for g in sample]), "grid"
     values = np.atleast_2d(np.asarray(sample, dtype=float))
-    mode_weight(mode, values.shape[1])  # validates the mode name
-    return values, mode
+    mode_weight(mode, values.shape[1])
+    return values
 
 
 def prefix_count(n_seg: int, lam: float) -> int:
@@ -129,8 +122,8 @@ def sequential_kernel(segment, lam: float, *, mode: str = "coeff",
 
     Parameters
     ----------
-    segment : sample of functions
-        Anything accepted by :func:`as_matrix`; n >= 1 rows.
+    segment : array_like
+        (n, R) rows of the segment, n >= 1.
     lam : float
         Fraction in [0,1] of the segment to average; a zero prefix yields
         the zero kernel.
@@ -144,7 +137,7 @@ def sequential_kernel(segment, lam: float, *, mode: str = "coeff",
     -------
     CovKernel
     """
-    values, mode = as_matrix(segment, mode)
+    values = as_matrix(segment, mode)
     n = values.shape[0]
     if n < 1:
         raise ValueError("segment must contain at least one function")
@@ -192,7 +185,7 @@ class SplitSample:
     @classmethod
     def at_index(cls, sample, k: int, *, mode: str = "coeff") -> "SplitSample":
         """Split a sample after its k-th observation (1-based)."""
-        values, mode = as_matrix(sample, mode)
+        values = as_matrix(sample, mode)
         n = values.shape[0]
         if not 1 <= k <= n - 1:
             raise ValueError(f"split index must lie in [1, {n - 1}], got {k}")

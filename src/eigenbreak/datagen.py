@@ -91,31 +91,22 @@ def break_index(n: int, theta0: float) -> int:
     return int(np.floor(n * theta0 + FLOOR_GUARD))
 
 
-def _as_coeff_array(series):
-    if isinstance(series, CoeffSeries):
-        return series.coeffs, series.basis
-    return np.atleast_2d(np.asarray(series, dtype=float)), None
-
-
-def _rewrap(coeffs, basis):
-    return CoeffSeries(coeffs, basis) if basis is not None else coeffs
-
-
-def apply_eigenvalue_break(series, magnitude: float, theta0: float):
+def apply_eigenvalue_break(coeffs: np.ndarray, magnitude: float,
+                           theta0: float) -> np.ndarray:
     """Downscale the first four coordinates of post-break rows by sqrt(1 - sqrt(E)).
 
-    The resulting second-segment kernel has its leading four eigenvalues
-    multiplied by (1 - sqrt(E)), giving squared eigenvalue differences
-    E / j^4 for j <= 4 and zero beyond.
+    Works on a copy of the (N, T) coefficient rows.  The resulting
+    second-segment kernel has its leading four eigenvalues multiplied by
+    (1 - sqrt(E)), giving squared eigenvalue differences E / j^4 for j <= 4
+    and zero beyond.
     """
     if not 0.0 <= magnitude <= 1.0:
         raise ValueError(f"eigenvalue-shift magnitude must lie in [0,1], got {magnitude}")
-    coeffs, basis = _as_coeff_array(series)
-    out = coeffs.copy()
+    out = np.array(coeffs, dtype=float, ndmin=2)
     k0 = break_index(out.shape[0], theta0)
     cols = min(SHIFT_COORDS, out.shape[1])
     out[k0:, :cols] *= np.sqrt(1.0 - np.sqrt(magnitude))
-    return _rewrap(out, basis)
+    return out
 
 
 def rotation_matrix(order: int, phi: float) -> np.ndarray:
@@ -129,17 +120,16 @@ def rotation_matrix(order: int, phi: float) -> np.ndarray:
     return rot
 
 
-def apply_rotation_break(series, phi: float, theta0: float):
-    """Rotate the first two coordinates of post-break rows by the angle phi."""
-    coeffs, basis = _as_coeff_array(series)
-    out = coeffs.copy()
+def apply_rotation_break(coeffs: np.ndarray, phi: float, theta0: float) -> np.ndarray:
+    """Rotate the first two coordinates of post-break rows by the angle phi, on a copy."""
+    out = np.array(coeffs, dtype=float, ndmin=2)
     k0 = break_index(out.shape[0], theta0)
     a1 = out[k0:, 0].copy()
     a2 = out[k0:, 1].copy()
     c, s = np.cos(phi), np.sin(phi)
     out[k0:, 0] = c * a1 - s * a2
     out[k0:, 1] = s * a1 + c * a2
-    return _rewrap(out, basis)
+    return out
 
 
 def generate(spec: DGPSpec, rng: np.random.Generator | None = None) -> CoeffSeries:

@@ -19,7 +19,6 @@ __all__ = [
     "eigendecompose",
     "operator_eigh",
     "gram_eigh",
-    "aligned_distance",
     "aligned_distance_sq",
     "gap_warning",
 ]
@@ -54,15 +53,7 @@ class EigenSystem:
 
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    mode: str
     weight: float
-
-    @property
-    def count(self) -> int:
-        return self.eigenvalues.size
-
-    def gap_warning(self, j: int) -> str | None:
-        return gap_warning(self.eigenvalues, j)
 
 
 def _canonical_signs(functions: np.ndarray) -> np.ndarray:
@@ -141,7 +132,6 @@ def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:
     return EigenSystem(
         eigenvalues=vals,
         eigenfunctions=_canonical_signs(functions),
-        mode=kernel.mode,
         weight=kernel.weight,
     )
 
@@ -161,18 +151,3 @@ def aligned_distance_sq(v, u, *, weight: float = 1.0):
     dist = np.maximum(nv + nu - 2.0 * np.abs(ip), 0.0)
     return float(dist) if dist.ndim == 0 else dist
 
-
-def aligned_distance(v, u, *, weight: float = 1.0) -> float:
-    """Sign-free L2 distance min(||v-u||, ||v+u||) of two unit functions.
-
-    Both inputs must have unit quadrature norm within 1e-6.  Equals
-    sqrt(2 - 2*|<v,u>|), so it is invariant under flipping the sign of
-    either argument.
-    """
-    v = np.asarray(v, dtype=float)
-    u = np.asarray(u, dtype=float)
-    for name, vec in (("first", v), ("second", u)):
-        norm = np.sqrt(weight * float(vec @ vec))
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"{name} argument is not unit-normalized (norm {norm:.8f})")
-    return float(np.sqrt(aligned_distance_sq(v, u, weight=weight)))

@@ -42,18 +42,12 @@ __all__ = [
     "run_experiment",
     "cell_outcomes",
     "epsilon_sweep",
-    "default_magnitude_grid",
     "angle_for_distance_sq",
 ]
 
 TEST_KINDS = ("eigenvalue", "eigenfunction")
 
 _CHUNK = 250
-
-
-def default_magnitude_grid(boundary: float, points: int = 9) -> tuple[float, ...]:
-    """Equispaced magnitudes spanning [0, 4 * boundary]."""
-    return tuple(np.linspace(0.0, 4.0 * boundary, points))
 
 
 def angle_for_distance_sq(dist_sq: float) -> float:

@@ -284,7 +284,6 @@ class EigenPaths:
     functions1: np.ndarray | None
     functions2: np.ndarray | None
     weight: float
-    mode: str
     p_max: int
 
 
@@ -349,7 +348,6 @@ def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
         functions1=funcs1,
         functions2=funcs2,
         weight=weight,
-        mode=split.mode,
         p_max=p_max,
     )
 

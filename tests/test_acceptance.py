@@ -28,7 +28,7 @@ from eigenbreak.changepoint import (
 )
 from eigenbreak.covkern import CovKernel, kernel_distance_sq
 from eigenbreak.datagen import DGPSpec, generate, population_kernels
-from eigenbreak.eigensys import aligned_distance, eigendecompose
+from eigenbreak.eigensys import aligned_distance_sq, eigendecompose
 from eigenbreak.funcspace import fourier_basis
 from eigenbreak.harness import (
     ExperimentConfig,
@@ -186,7 +186,7 @@ def test_criterion_3_eigen_oracle():
     grid_sys = eigendecompose(grid_kernel, 21)
     grid_err = np.abs(grid_sys.eigenvalues - TAU21).max()
     fun_err = max(
-        aligned_distance(grid_sys.eigenfunctions[k], f[:, k], weight=1.0 / 200)
+        np.sqrt(aligned_distance_sq(grid_sys.eigenfunctions[k], f[:, k], weight=1.0 / 200))
         for k in range(21)
     )
     ok = coeff_err <= 1e-8 and grid_err <= 1e-6 and fun_err <= 1e-6

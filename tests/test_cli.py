@@ -578,6 +578,21 @@ def test_eigenvalue_threshold_past_the_rank_is_zero(tmp_path, ten_year_csv):
     assert deltas[5] == 0.0
 
 
+def test_run_writing_the_quantile_cache_matches_later_runs(tmp_path, ten_year_csv):
+    # a missing cache is written from the default pivot and read back, so the
+    # first run decides from the same quantile summary as every later run
+    csv_path, _ = ten_year_csv
+    cache = tmp_path / "fresh.csv"
+    reports = []
+    for run in ("first", "second"):
+        out_dir = tmp_path / run
+        rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5",
+                   "--quantile-cache", str(cache), "--out-dir", str(out_dir)])
+        assert rc == 0
+        reports.append((out_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_experiment_config_file_accepts_tau(tmp_path):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

@@ -11,7 +11,7 @@ from eigenbreak.datagen import (
     population_kernels,
     rotation_matrix,
 )
-from eigenbreak.eigensys import aligned_distance, eigendecompose
+from eigenbreak.eigensys import aligned_distance_sq, eigendecompose
 
 
 def test_generation_is_deterministic():
@@ -78,12 +78,12 @@ def test_ma_lag_structure():
 
 
 def test_eigenvalue_break_limits():
-    rng_series = generate(DGPSpec(N=30, T=5, seed=8))
-    unchanged = apply_eigenvalue_break(rng_series, 0.0, 0.5)
-    np.testing.assert_array_equal(unchanged.coeffs, rng_series.coeffs)
-    zeroed = apply_eigenvalue_break(rng_series, 1.0, 0.5)
-    np.testing.assert_array_equal(zeroed.coeffs[15:, :4], np.zeros((15, 4)))
-    np.testing.assert_array_equal(zeroed.coeffs[:15], rng_series.coeffs[:15])
+    coeffs = generate(DGPSpec(N=30, T=5, seed=8)).coeffs
+    unchanged = apply_eigenvalue_break(coeffs, 0.0, 0.5)
+    np.testing.assert_array_equal(unchanged, coeffs)
+    zeroed = apply_eigenvalue_break(coeffs, 1.0, 0.5)
+    np.testing.assert_array_equal(zeroed[15:, :4], np.zeros((15, 4)))
+    np.testing.assert_array_equal(zeroed[:15], coeffs[:15])
 
 
 def test_eigenvalue_break_post_variance():
@@ -96,19 +96,19 @@ def test_eigenvalue_break_post_variance():
 
 
 def test_rotation_break_quarter_turn():
-    series = generate(DGPSpec(N=10, T=5, seed=3))
-    rotated = apply_rotation_break(series, np.pi / 2, 0.5)
-    np.testing.assert_allclose(rotated.coeffs[5:, 0], -series.coeffs[5:, 1], atol=1e-15)
-    np.testing.assert_allclose(rotated.coeffs[5:, 1], series.coeffs[5:, 0], atol=1e-15)
-    np.testing.assert_array_equal(rotated.coeffs[:5], series.coeffs[:5])
+    coeffs = generate(DGPSpec(N=10, T=5, seed=3)).coeffs
+    rotated = apply_rotation_break(coeffs, np.pi / 2, 0.5)
+    np.testing.assert_allclose(rotated[5:, 0], -coeffs[5:, 1], atol=1e-15)
+    np.testing.assert_allclose(rotated[5:, 1], coeffs[5:, 0], atol=1e-15)
+    np.testing.assert_array_equal(rotated[:5], coeffs[:5])
 
 
 def test_rotation_preserves_row_norms():
-    series = generate(DGPSpec(N=40, T=7, seed=5))
-    rotated = apply_rotation_break(series, 1.234, 0.3)
+    coeffs = generate(DGPSpec(N=40, T=7, seed=5)).coeffs
+    rotated = apply_rotation_break(coeffs, 1.234, 0.3)
     np.testing.assert_allclose(
-        np.linalg.norm(rotated.coeffs, axis=1),
-        np.linalg.norm(series.coeffs, axis=1),
+        np.linalg.norm(rotated, axis=1),
+        np.linalg.norm(coeffs, axis=1),
         rtol=1e-12,
     )
 
@@ -118,8 +118,8 @@ def test_rotation_population_eigenfunctions():
     c1, c2 = population_kernels(DGPSpec(N=10, break_kind="rotation", magnitude=phi))
     s1 = eigendecompose(c1, 1)
     s2 = eigendecompose(c2, 1)
-    dist = aligned_distance(s1.eigenfunctions[0], s2.eigenfunctions[0])
-    assert dist == pytest.approx(np.sqrt(2.0 - 2.0 * np.cos(phi)), abs=1e-9)
+    dist_sq = aligned_distance_sq(s1.eigenfunctions[0], s2.eigenfunctions[0])
+    assert dist_sq == pytest.approx(2.0 - 2.0 * np.cos(phi), abs=1e-9)
 
 
 def test_rotation_matrix_is_orthogonal():

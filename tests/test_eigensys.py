@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from eigenbreak.covkern import CovKernel, kernel_distance_sq, sequential_kernel
-from eigenbreak.eigensys import (
-    aligned_distance,
-    aligned_distance_sq,
-    eigendecompose,
-    gap_warning,
-)
+from eigenbreak.eigensys import aligned_distance_sq, eigendecompose, gap_warning
 from eigenbreak.funcspace import fourier_basis
 
 TAU = 1.0 / np.arange(1, 22) ** 2
@@ -36,8 +31,8 @@ def test_grid_mercer_kernel_recovers_spectrum():
     system = eigendecompose(kernel, 21)
     np.testing.assert_allclose(system.eigenvalues, TAU, atol=1e-8)
     for k in range(21):
-        dist = aligned_distance(system.eigenfunctions[k], f[:, k], weight=1.0 / 200)
-        assert dist <= 1e-6
+        dist_sq = aligned_distance_sq(system.eigenfunctions[k], f[:, k], weight=1.0 / 200)
+        assert dist_sq <= 1e-12
 
 
 def test_p_max_validation():
@@ -51,24 +46,19 @@ def test_p_max_validation():
 def test_aligned_distance_sign_invariance():
     v = np.zeros(6)
     v[0] = 1.0
-    assert aligned_distance(v, v) == 0.0
-    assert aligned_distance(v, -v) == 0.0
+    assert aligned_distance_sq(v, v) == 0.0
+    assert aligned_distance_sq(v, -v) == 0.0
     u = np.zeros(6)
     u[3] = 1.0
-    assert aligned_distance(v, u) == pytest.approx(np.sqrt(2.0))
-    assert aligned_distance(v, u) == aligned_distance(u, v)
+    assert aligned_distance_sq(v, u) == pytest.approx(2.0)
+    assert aligned_distance_sq(v, u) == aligned_distance_sq(u, v)
 
 
 def test_aligned_distance_quarter_rotation():
     v = np.array([1.0, 0.0])
     phi = np.pi / 4
     u = np.array([np.cos(phi), np.sin(phi)])
-    assert aligned_distance(v, u) == pytest.approx(np.sqrt(2.0 - np.sqrt(2.0)))
-
-
-def test_aligned_distance_requires_unit_norm():
-    with pytest.raises(ValueError, match="unit"):
-        aligned_distance(np.array([2.0, 0.0]), np.array([1.0, 0.0]))
+    assert aligned_distance_sq(v, u) == pytest.approx(2.0 - np.sqrt(2.0))
 
 
 def test_aligned_distance_sq_handles_zero_functions():
@@ -121,9 +111,9 @@ def test_aligned_distance_range_on_random_unit_vectors():
         u = rng.standard_normal(9)
         v /= np.linalg.norm(v)
         u /= np.linalg.norm(u)
-        dist = aligned_distance(v, u)
-        assert 0.0 <= dist <= np.sqrt(2.0) + 1e-12
-        assert dist == pytest.approx(aligned_distance(-v, u), abs=1e-12)
+        dist_sq = aligned_distance_sq(v, u)
+        assert 0.0 <= dist_sq <= 2.0 + 1e-12
+        assert dist_sq == pytest.approx(aligned_distance_sq(-v, u), abs=1e-12)
 
 
 def test_gap_warning_on_degenerate_pair():

@@ -10,7 +10,6 @@ from eigenbreak.harness import (
     ExperimentConfig,
     angle_for_distance_sq,
     cell_outcomes,
-    default_magnitude_grid,
     epsilon_sweep,
     run_experiment,
 )
@@ -68,14 +67,6 @@ def test_epsilon_sweep_checks_every_trim_first(monkeypatch):
         epsilon_sweep(config, [0.05, 0.7], workers=1)
     with pytest.raises(ValueError, match="at least one boundary trim"):
         epsilon_sweep(config, [], workers=1)
-
-
-def test_default_magnitude_grid_spans_four_boundaries():
-    grid = default_magnitude_grid(0.1)
-    assert len(grid) == 9
-    assert grid[0] == 0.0
-    assert grid[-1] == pytest.approx(0.4)
-    np.testing.assert_allclose(np.diff(grid), 0.05)
 
 
 def test_angle_distance_roundtrip():

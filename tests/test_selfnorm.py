@@ -9,7 +9,6 @@ from eigenbreak import selfnorm
 from eigenbreak.covkern import SplitSample, mode_weight, prefix_count, prefix_moments
 from eigenbreak.datagen import DGPSpec, generate, population_kernels
 from eigenbreak.eigensys import (
-    aligned_distance,
     aligned_distance_sq,
     eigendecompose,
     gap_warning,
@@ -66,7 +65,7 @@ def test_population_rotation_kernels_give_constant_path():
     c1, c2 = population_kernels(DGPSpec(N=10, break_kind="rotation", magnitude=phi))
     s1 = eigendecompose(c1, 1)
     s2 = eigendecompose(c2, 1)
-    dist_sq = aligned_distance(s1.eigenfunctions[0], s2.eigenfunctions[0]) ** 2
+    dist_sq = aligned_distance_sq(s1.eigenfunctions[0], s2.eigenfunctions[0])
     path = make_path(np.full(20, dist_sq), kind="eigenfunction")
     np.testing.assert_allclose(path.values, 2.0 - 2.0 * np.cos(phi), atol=1e-12)
     assert self_normalizer(path, NU) == 0.0
