@@ -23,7 +23,7 @@ import re
 import sys
 import types
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import compress
 from operator import itemgetter
 
@@ -54,6 +54,7 @@ __all__ = [
     "IngestResult",
     "ingest_daily",
     "write_daily_csv",
+    "AnalysisConfig",
     "run_analysis",
     "load_experiment_config",
     "main",
@@ -62,9 +63,6 @@ __all__ = [
 DAYS_PER_YEAR = 365
 DEFAULT_MIN_DAYS = 360
 MIN_YEARS = 8
-DEFAULT_ANGLES = (math.pi / 16, math.pi / 8, math.pi / 4, 2 * math.pi / 5)
-DEFAULT_DIVISORS = (50, 100, 200)
-DEFAULT_ALPHAS = (0.10, 0.05, 0.01)
 
 OUT_DIR_ENV = "EIGENBREAK_OUT_DIR"
 
@@ -312,31 +310,65 @@ def _resolve_pivot(K: int, cache_path) -> PivotDistribution:
     return pivot
 
 
-def _check_analysis_settings(*, order: int, epsilon: float, j_fun: int, j_val: int,
-                             divisors, alphas, K: int) -> None:
-    """Refuse an analysis setting before any file is read or pivot simulated.
+@dataclass(frozen=True)
+class AnalysisConfig:
+    """Settings of one analysis; every rule is checked on construction.
 
-    Each rule is asked of its owner where there is one: the basis order of
-    ``fourier_basis`` on the daily grid, the trim of ``search_range`` and the
-    pivot grid of ``NuMeasure``.
+    ``T`` is the Fourier basis order of each year's fit, ``epsilon`` the
+    boundary trim of the change-point scan, ``angles`` the eigenfunction
+    thresholds (numbers, or pi expressions such as ``"pi/16"``), ``j_fun``
+    and ``j_val`` the largest eigen indices tested, ``divisors`` the
+    eigenvalue threshold divisors, ``alphas`` the significance levels
+    (kept in descending order), ``K`` the pivot grid, ``min_days`` the
+    readings a year needs to be retained, and ``center_cusum`` whether the
+    scan sees the rows minus their global mean.
     """
-    fourier_basis(order, DAYS_PER_YEAR)
-    if any(d <= 0 for d in divisors):
-        raise ValueError(f"eigenvalue threshold divisors must be positive, got {list(divisors)}")
-    if not alphas:
-        raise ValueError("significance levels 'alphas' must not be empty")
-    for name, j in (("j_fun", j_fun), ("j_val", j_val)):
-        if not 1 <= j <= order:
-            raise ValueError(f"eigen index {name} must lie in 1..T={order}, got {j}")
-    search_range(MIN_YEARS, epsilon)
-    NuMeasure(K)
+
+    T: int = 41
+    epsilon: float = 0.01
+    angles: tuple[float | str, ...] = (math.pi / 16, math.pi / 8, math.pi / 4, 2 * math.pi / 5)
+    j_fun: int = 5
+    j_val: int = 12
+    divisors: tuple[int, ...] = (50, 100, 200)
+    alphas: tuple[float, ...] = (0.10, 0.05, 0.01)
+    K: int = DEFAULT_K
+    min_days: int = DEFAULT_MIN_DAYS
+    center_cusum: bool = False
+
+    def __post_init__(self):
+        # the basis order on the daily grid, the trim and the pivot grid are
+        # ruled by fourier_basis, search_range and NuMeasure
+        fourier_basis(self.T, DAYS_PER_YEAR)
+        try:
+            angles = tuple(parse_float_or_pi(a) if isinstance(a, str) else float(a)
+                           for a in self.angles)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"setting 'angles': {exc}") from None
+        object.__setattr__(self, "angles", angles)
+        object.__setattr__(self, "divisors", tuple(self.divisors))
+        object.__setattr__(self, "alphas", tuple(sorted(map(float, self.alphas), reverse=True)))
+        if any(d <= 0 for d in self.divisors):
+            raise ValueError(
+                f"eigenvalue threshold divisors must be positive, got {list(self.divisors)}"
+            )
+        if not self.alphas:
+            raise ValueError("significance levels 'alphas' must not be empty")
+        if not all(0.0 < a < 1.0 for a in self.alphas):
+            raise ValueError(
+                f"significance levels 'alphas' must lie in (0,1), got {list(self.alphas)}"
+            )
+        if self.min_days > DAYS_PER_YEAR:
+            raise ValueError(f"min_days must be at most the {DAYS_PER_YEAR} grid days of a "
+                             f"year, got {self.min_days}")
+        for name in ("j_fun", "j_val"):
+            j = getattr(self, name)
+            if not 1 <= j <= self.T:
+                raise ValueError(f"eigen index {name} must lie in 1..T={self.T}, got {j}")
+        search_range(MIN_YEARS, self.epsilon)
+        NuMeasure(self.K)
 
 
-def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
-                 angles=DEFAULT_ANGLES, j_fun: int = 5, j_val: int = 12,
-                 divisors=DEFAULT_DIVISORS, alphas=DEFAULT_ALPHAS,
-                 K: int = DEFAULT_K, min_days: int = DEFAULT_MIN_DAYS,
-                 center_cusum: bool = False,
+def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
                  pivot: PivotDistribution | None = None) -> dict:
     """Change-point estimation plus relevance matrices for a daily-series file.
 
@@ -346,38 +378,36 @@ def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
     each angle, and eigenvalue changes against thresholds tau_j / divisor
     where tau_j is the j-th pre-segment eigenvalue.  Cells report the
     strongest level in ``alphas`` at which the no-relevant-change null is
-    rejected.
+    rejected.  ``pivot`` defaults to the cached default pivot for ``K``.
 
     Returns the report dictionary; files are written when ``out_dir`` is set.
     """
-    _check_analysis_settings(order=order, epsilon=epsilon, j_fun=j_fun, j_val=j_val,
-                             divisors=divisors, alphas=alphas, K=K)
-    alphas = tuple(sorted(alphas, reverse=True))
-    ingest = ingest_daily(csv_path, order, min_days)
+    alphas = config.alphas
+    ingest = ingest_daily(csv_path, config.T, config.min_days)
     n_years = ingest.series.n_obs
     if n_years < MIN_YEARS:
         raise ValueError(f"analysis needs at least {MIN_YEARS} retained years, got {n_years}")
     if pivot is None:
-        pivot = cached_pivot(K)
+        pivot = cached_pivot(config.K)
     coeffs = ingest.series.coeffs
-    cusum_input = coeffs - coeffs.mean(axis=0) if center_cusum else coeffs
-    estimate = estimate_changepoint(cusum_input, epsilon)
+    cusum_input = coeffs - coeffs.mean(axis=0) if config.center_cusum else coeffs
+    estimate = estimate_changepoint(cusum_input, config.epsilon)
     split = SplitSample.at_index(coeffs, estimate.k_hat)
-    nu = NuMeasure(K)
+    nu = NuMeasure(config.K)
 
     pre_kernel = sequential_kernel(split.pre, 1.0, center=True)
     post_kernel = sequential_kernel(split.post, 1.0, center=True)
     pre_system = eigendecompose(pre_kernel, pre_kernel.dim)
     post_system = eigendecompose(post_kernel, post_kernel.dim)
 
-    p_need = min(order, max(j_fun, j_val))
+    p_need = min(config.T, max(config.j_fun, config.j_val))
     paths = sequential_eigensystem_paths(split, p_need, nu, center=True, with_functions=True)
 
     def run_tests(path, deltas_by_label):
         norm = self_normalizer(path, nu)
         cells = []
         for label, delta in deltas_by_label:
-            results = {a: decide(path, norm, delta, pivot, a, "relevant") for a in alphas}
+            results = {a: decide(path, norm, delta, pivot, a) for a in alphas}
             rejections = {a: results[a].decision == "reject" for a in alphas}
             base = results[alphas[0]]
             cells.append(
@@ -396,32 +426,25 @@ def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
         return cells
 
     eigenfunction_cells = []
-    for j in range(1, j_fun + 1):
+    for j in range(1, config.j_fun + 1):
         path = eigenfunction_diff_path(paths, j)
-        deltas = [(f"angle={angle!r}", 2.0 - 2.0 * math.cos(angle)) for angle in angles]
+        deltas = [(f"angle={angle!r}", 2.0 - 2.0 * math.cos(angle)) for angle in config.angles]
         eigenfunction_cells.extend(run_tests(path, deltas))
 
     eigenvalue_cells = []
-    for j in range(1, j_val + 1):
+    for j in range(1, config.j_val + 1):
         path = eigenvalue_diff_path(paths, j)
         # the kernel is PSD: past the pre-segment's rank, tau_j is round-off
         tau_pre = max(0.0, float(pre_system.eigenvalues[j - 1]))
-        deltas = [(f"divisor={d}", tau_pre / d) for d in divisors]
+        deltas = [(f"divisor={d}", tau_pre / d) for d in config.divisors]
         eigenvalue_cells.extend(run_tests(path, deltas))
 
+    settings = asdict(config)
+    settings["order"] = settings.pop("T")
     report = {
         "settings": {
+            **settings,
             "csv_path": str(csv_path),
-            "order": order,
-            "epsilon": epsilon,
-            "angles": [float(a) for a in angles],
-            "j_fun": j_fun,
-            "j_val": j_val,
-            "divisors": [int(d) for d in divisors],
-            "alphas": [float(a) for a in alphas],
-            "K": K,
-            "min_days": min_days,
-            "center_cusum": center_cusum,
             "pivot": {"K": pivot.K, "R": pivot.R, "seed": pivot.seed},
         },
         "n_years": n_years,
@@ -447,11 +470,12 @@ def run_analysis(csv_path, out_dir, *, order: int = 41, epsilon: float = 0.01,
             fh.write("\n")
         _write_matrix_csv(
             os.path.join(out_dir, "eigenfunction_table.csv"),
-            eigenfunction_cells, "angle", [f"angle={a!r}" for a in angles], j_fun,
+            eigenfunction_cells, "angle", [f"angle={a!r}" for a in config.angles], config.j_fun,
         )
         _write_matrix_csv(
             os.path.join(out_dir, "eigenvalue_table.csv"),
-            eigenvalue_cells, "divisor", [f"divisor={d}" for d in divisors], j_val,
+            eigenvalue_cells, "divisor", [f"divisor={d}" for d in config.divisors],
+            config.j_val,
         )
         _write_segment_eigendata(out_dir, ingest.series.basis, pre_system, post_system)
     return report
@@ -525,6 +549,23 @@ def _read_json_object(path, kinds: dict, label: str) -> dict:
     return data
 
 
+def _load_config(cls, path, overrides: dict, extras: dict, label: str):
+    """Build the config dataclass ``cls`` from a JSON file; returns (config, extras found).
+
+    The file holds fields of ``cls`` and keys of ``extras``, which maps each
+    key that is not a field to its type.  Every value must have its JSON
+    type; ``overrides`` (which skip the type check) then replace file
+    values, and the fields left out take ``cls``'s defaults.  A refused
+    value is reported with ``path``.
+    """
+    data = _read_json_object(path, {**typing.get_type_hints(cls), **extras}, label)
+    found = {key: data.pop(key) for key in extras if key in data}
+    try:
+        return cls(**{**data, **overrides}), found
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_experiment_config(path, overrides: dict | None = None) -> tuple[ExperimentConfig, list[float] | None]:
     """Read a JSON experiment config; returns (config, epsilons or None).
 
@@ -537,15 +578,13 @@ def load_experiment_config(path, overrides: dict | None = None) -> tuple[Experim
     ExperimentConfig's rules.  Unknown keys and invalid values are
     reported by name before any replicate runs.
     """
-    kinds = {**typing.get_type_hints(ExperimentConfig), "epsilons": list[float]}
-    data = _read_json_object(path, kinds, "config")
-    epsilons = data.pop("epsilons", None)
-    data.update(overrides or {})
+    config, extras = _load_config(ExperimentConfig, path, overrides or {},
+                                  {"epsilons": list[float]}, "config")
+    epsilons = extras.get("epsilons")
     try:
-        config = ExperimentConfig(**data)
         for eps in epsilons or ():
             replace(config, epsilon=eps)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return config, epsilons
 
@@ -557,49 +596,8 @@ def _shipped_config_path(name: str):
     return candidate if candidate.is_file() else None
 
 
-#: analyze settings: name -> (type of a config file value, default); the
-#: parser sets the ``out_dir`` default from $EIGENBREAK_OUT_DIR (else ".")
-ANALYZE_SETTINGS = {
-    "csv": (str, None),
-    "T": (int, 41),
-    "epsilon": (float, 0.01),
-    "angles": (list[float | str], DEFAULT_ANGLES),
-    "j_fun": (int, 5),
-    "j_val": (int, 12),
-    "divisors": (list[int], DEFAULT_DIVISORS),
-    "alphas": (list[float], DEFAULT_ALPHAS),
-    "K": (int, DEFAULT_K),
-    "min_days": (int, DEFAULT_MIN_DAYS),
-    "center_cusum": (bool, False),
-    "quantile_cache": (str, None),
-    "out_dir": (str, None),
-}
-
-
-def apply_analyze_config(args, defaults: dict) -> None:
-    """Fill the analyze settings left off the command line.
-
-    Explicit flags win, then the JSON file named by ``--config``, then
-    ``defaults``.  Flags left unset are absent from ``args``.
-    """
-    settings = dict(defaults)
-    if getattr(args, "config", None):
-        settings.update(_read_analyze_config(args.config))
-    for key, value in settings.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
-
-
-def _read_analyze_config(path) -> dict:
-    data = _read_json_object(path, {key: kind for key, (kind, _) in ANALYZE_SETTINGS.items()},
-                             "analyze")
-    if "angles" in data:
-        # angles may also be pi expressions such as "pi/16"
-        try:
-            data["angles"] = [parse_float_or_pi(str(v)) for v in data["angles"]]
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"{path}: analyze field 'angles': {exc}") from None
-    return data
+#: analyze settings that name files rather than shape the analysis
+_ANALYZE_PATHS = {"csv": str, "quantile_cache": str, "out_dir": str}
 
 
 # ---------------------------------------------------------------------------
@@ -663,29 +661,23 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    apply_analyze_config(args, args.analyze_defaults)
-    if not args.csv:
+    # flags left unset are absent from args: explicit flags win, then the
+    # config file, then AnalysisConfig's defaults
+    given = vars(args)
+    flags = {f.name: given[f.name] for f in fields(AnalysisConfig) if f.name in given}
+    paths = {key: given[key] for key in _ANALYZE_PATHS if key in given}
+    if "config" in given:
+        config, in_file = _load_config(AnalysisConfig, args.config, flags, _ANALYZE_PATHS,
+                                       "analyze")
+        paths = {**in_file, **paths}
+    else:
+        config = AnalysisConfig(**flags)
+    if not paths.get("csv"):
         raise ValueError("analyze needs --csv (or a config file providing 'csv')")
-    # every setting is refused before a pivot is simulated or a cache written
-    _check_analysis_settings(order=args.T, epsilon=args.epsilon, j_fun=args.j_fun,
-                             j_val=args.j_val, divisors=args.divisors, alphas=args.alphas,
-                             K=args.K)
-    pivot = _resolve_pivot(args.K, args.quantile_cache)
-    report = run_analysis(
-        args.csv,
-        args.out_dir,
-        order=args.T,
-        epsilon=args.epsilon,
-        angles=tuple(args.angles),
-        j_fun=args.j_fun,
-        j_val=args.j_val,
-        divisors=tuple(args.divisors),
-        alphas=tuple(args.alphas),
-        K=args.K,
-        min_days=args.min_days,
-        center_cusum=args.center_cusum,
-        pivot=pivot,
-    )
+    out_dir = paths.get("out_dir", os.environ.get(OUT_DIR_ENV, "."))
+    # every setting was refused above, before a pivot is simulated or a cache written
+    pivot = _resolve_pivot(config.K, paths.get("quantile_cache"))
+    report = run_analysis(paths["csv"], out_dir, config, pivot)
     print(
         f"{report['n_years']} years; split after {report['last_pre_year']} "
         f"(k={report['k_hat']}, theta={report['theta_hat']:.4f})"
@@ -693,7 +685,7 @@ def _cmd_analyze(args) -> int:
     if report["excluded_years"]:
         skipped = ", ".join(f"{y} ({c} readings)" for y, c in report["excluded_years"])
         print(f"excluded years: {skipped}")
-    print(f"report written to {args.out_dir}")
+    print(f"report written to {out_dir}")
     return 0
 
 
@@ -748,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=_cmd_generate)
 
     # analyze flags left unset stay absent from the namespace, so that
-    # apply_analyze_config can tell them from explicit ones
+    # _cmd_analyze can tell them from explicit ones
     a = sub.add_parser("analyze", help="analyze a daily-series CSV file",
                        argument_default=argparse.SUPPRESS)
     a.add_argument("--csv")
@@ -767,9 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subtract the global mean before the change-point scan")
     a.add_argument("--quantile-cache", dest="quantile_cache")
     a.add_argument("--out-dir")
-    analyze_defaults = {key: default for key, (_, default) in ANALYZE_SETTINGS.items()}
-    analyze_defaults["out_dir"] = default_out
-    a.set_defaults(func=_cmd_analyze, analyze_defaults=analyze_defaults)
+    a.set_defaults(func=_cmd_analyze)
 
     return parser
 

@@ -212,7 +212,7 @@ def run_replicate(config: ExperimentConfig, n_obs: int, magnitude: float,
         path = diff_path(split, config.j, nu, config.test_kind, center=config.center)
         normalizer = self_normalizer(path, nu)
         pivot = cached_pivot(config.K, config.pivot_replicates, config.pivot_seed)
-        result = decide(path, normalizer, config.delta, pivot, config.alpha, "relevant")
+        result = decide(path, normalizer, config.delta, pivot, config.alpha)
         return result.decision == "reject", estimate.theta_hat
     except Exception as exc:
         raise RuntimeError(

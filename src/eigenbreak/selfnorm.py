@@ -103,7 +103,7 @@ class DiffPath:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Decision record of one relevant-change or equivalence test."""
+    """Decision record of one relevant-change test."""
 
     statistic: float
     normalizer: float
@@ -111,7 +111,6 @@ class TestResult:
     ratio: float | None
     quantile: float
     alpha: float
-    mode: str
     decision: str
     p_value: float | None
     kind: str
@@ -447,9 +446,8 @@ def self_normalizer(path: DiffPath, nu: NuMeasure) -> float:
 
 
 def decide(path: DiffPath, normalizer: float, delta: float,
-           pivot: PivotDistribution, alpha: float,
-           mode: str = "relevant") -> TestResult:
-    """Decision rule for a relevant-change or equivalence test.
+           pivot: PivotDistribution, alpha: float) -> TestResult:
+    """Decision rule for a relevant-change test.
 
     Parameters
     ----------
@@ -462,11 +460,8 @@ def decide(path: DiffPath, normalizer: float, delta: float,
     pivot : PivotDistribution
         Monte-Carlo pivot sample supplying quantiles and p-values.
     alpha : float
-        Test level in (0, 1).
-    mode : {'relevant', 'equivalence'}
-        'relevant' rejects no-relevant-change when the normalized statistic
-        exceeds the upper quantile; 'equivalence' rejects relevant-difference
-        when it falls below the lower quantile.
+        Test level in (0, 1); the no-relevant-change null is rejected when
+        the normalized statistic exceeds the pivot's (1 - alpha)-quantile.
 
     Returns
     -------
@@ -478,13 +473,11 @@ def decide(path: DiffPath, normalizer: float, delta: float,
         raise ValueError(f"relevance threshold must be nonnegative, got {delta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"test level must lie in (0,1), got {alpha}")
-    if mode not in ("relevant", "equivalence"):
-        raise ValueError(f"unknown test mode {mode!r}; expected 'relevant' or 'equivalence'")
     if pivot.sample.size == 0:
         raise ValueError("pivot sample is empty")
     statistic = path.statistic
     warnings = list(path.warnings)
-    quantile = pivot.quantile(1.0 - alpha) if mode == "relevant" else pivot.quantile(alpha)
+    quantile = pivot.quantile(1.0 - alpha)
     if normalizer < DEGENERATE_NORMALIZER:
         warnings.append(
             "self-normalizer is numerically zero; retaining the null by convention"
@@ -495,10 +488,7 @@ def decide(path: DiffPath, normalizer: float, delta: float,
     else:
         ratio = (statistic - delta) / normalizer
         p_value = pivot.prob_leq(ratio)
-        if mode == "relevant":
-            decision = "reject" if ratio > quantile else "retain"
-        else:
-            decision = "reject" if ratio < quantile else "retain"
+        decision = "reject" if ratio > quantile else "retain"
     return TestResult(
         statistic=statistic,
         normalizer=normalizer,
@@ -506,7 +496,6 @@ def decide(path: DiffPath, normalizer: float, delta: float,
         ratio=ratio,
         quantile=quantile,
         alpha=alpha,
-        mode=mode,
         decision=decision,
         p_value=p_value,
         kind=path.kind,

@@ -44,7 +44,7 @@ from eigenbreak.selfnorm import (
     self_normalizer,
     simulate_pivot,
 )
-from eigenbreak.cli import run_analysis, write_daily_csv
+from eigenbreak.cli import AnalysisConfig, run_analysis, write_daily_csv
 
 pytestmark = pytest.mark.acceptance
 
@@ -359,7 +359,7 @@ def _analyze_synthetic(spec: DGPSpec, tmp_path, start_year: int, out_dir=None, *
     series = generate(spec)
     csv_path = tmp_path / "series.csv"
     write_daily_csv(series, start_year, csv_path)
-    return run_analysis(csv_path, out_dir, pivot=cached_pivot(20), **kwargs)
+    return run_analysis(csv_path, out_dir, AnalysisConfig(**kwargs), cached_pivot(20))
 
 
 def test_criterion_9a_planted_rotation_pipeline(tmp_path):

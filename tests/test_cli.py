@@ -8,7 +8,7 @@ import pytest
 
 from eigenbreak import cli, harness, selfnorm
 from eigenbreak.cli import (
-    apply_analyze_config,
+    AnalysisConfig,
     build_parser,
     ingest_daily,
     load_experiment_config,
@@ -316,8 +316,8 @@ def test_analysis_finds_planted_rotation(tmp_path, small_pivot):
     csv_path = tmp_path / "rotated.csv"
     write_daily_csv(series, 1950, csv_path)
     report = run_analysis(
-        csv_path, tmp_path / "report", order=9, epsilon=0.05, j_fun=2, j_val=3,
-        pivot=small_pivot,
+        csv_path, tmp_path / "report", AnalysisConfig(T=9, epsilon=0.05, j_fun=2, j_val=3),
+        small_pivot,
     )
     assert abs(report["theta_hat"] - 0.5) <= 0.15
     assert report["last_pre_year"] == 1950 + report["k_hat"] - 1
@@ -345,7 +345,7 @@ def test_analysis_bytes_are_golden(tmp_path, small_pivot):
     csv_path = tmp_path / "rotated.csv"
     write_daily_csv(series, 1950, csv_path)
     out_dir = tmp_path / "report"
-    run_analysis(csv_path, out_dir, order=9, j_fun=5, j_val=9, pivot=small_pivot)
+    run_analysis(csv_path, out_dir, AnalysisConfig(T=9, j_fun=5, j_val=9), small_pivot)
     report = json.loads((out_dir / "report.json").read_text())
     del report["settings"]["csv_path"]
     digests = {"report.json": hashlib.sha256(
@@ -371,11 +371,9 @@ def test_analysis_report_matrix_shapes(tmp_path, small_pivot):
     series = generate(DGPSpec(N=20, T=5, seed=2))
     csv_path = tmp_path / "plain.csv"
     write_daily_csv(series, 1900, csv_path)
-    report = run_analysis(
-        csv_path, None, order=5, epsilon=0.05,
-        angles=(math.pi / 8, math.pi / 4), j_fun=2, j_val=4, divisors=(50, 100),
-        pivot=small_pivot,
-    )
+    config = AnalysisConfig(T=5, epsilon=0.05, angles=(math.pi / 8, math.pi / 4),
+                            j_fun=2, j_val=4, divisors=(50, 100))
+    report = run_analysis(csv_path, None, config, small_pivot)
     assert len(report["eigenfunction_tests"]) == 2 * 2
     assert len(report["eigenvalue_tests"]) == 4 * 2
     assert report["settings"]["order"] == 5
@@ -388,7 +386,7 @@ def test_analysis_needs_eight_years(tmp_path, small_pivot):
     csv_path = tmp_path / "short.csv"
     write_daily_csv(series, 1900, csv_path)
     with pytest.raises(ValueError, match="at least 8 retained years"):
-        run_analysis(csv_path, None, order=5, j_val=5, pivot=small_pivot)
+        run_analysis(csv_path, None, AnalysisConfig(T=5, j_val=5), small_pivot)
 
 
 def test_analyze_command_with_quantile_cache(tmp_path):
@@ -468,13 +466,13 @@ def test_analyze_config_rejects_wrongly_typed_values(tmp_path, capsys, field):
 
 def test_analyze_config_accepts_an_int_for_a_float(tmp_path):
     cfg = tmp_path / "analyze.json"
-    cfg.write_text(json.dumps({"epsilon": 0, "center_cusum": True, "angles": [1, "pi/4"],
-                               "alphas": [0, 0.5]}))
-    args = build_parser().parse_args(["analyze", "--config", str(cfg)])
-    apply_analyze_config(args, args.analyze_defaults)
-    assert args.epsilon == 0 and args.center_cusum is True and args.K == 20
-    assert args.angles == [1.0, math.pi / 4] and isinstance(args.angles[0], float)
-    assert args.alphas == [0, 0.5]
+    cfg.write_text(json.dumps({"csv": "x.csv", "epsilon": 0, "center_cusum": True,
+                               "angles": [1, "pi/4"], "alphas": [0.05, 0.5]}))
+    config, paths = cli._load_config(AnalysisConfig, cfg, {}, cli._ANALYZE_PATHS, "analyze")
+    assert paths == {"csv": "x.csv"}
+    assert config.epsilon == 0 and config.center_cusum is True and config.K == 20
+    assert config.angles == (1.0, math.pi / 4) and isinstance(config.angles[0], float)
+    assert config.alphas == (0.5, 0.05)
 
 
 @pytest.fixture(scope="module")
@@ -545,6 +543,9 @@ def test_analyze_refuses_bad_settings_before_ingestion(tmp_path, capsys, monkeyp
     (["--j-val", "50"], "j_val"),
     (["--epsilon", "0.5"], "epsilon"),
     (["--K", "1"], "K >= 2"),
+    (["--alphas", "0,0.5"], "'alphas'"),
+    (["--alphas", "1.5"], "'alphas'"),
+    (["--min-days", "400"], "min_days"),
 ])
 def test_analyze_refuses_bad_settings_before_the_pivot(tmp_path, capsys, monkeypatch,
                                                        ten_year_csv, flags, message):

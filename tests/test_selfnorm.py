@@ -144,13 +144,6 @@ def test_decide_rejects_far_ratios(pivot):
     assert result.p_value > 0.99
 
 
-def test_equivalence_mode_rejects_small_ratios(pivot):
-    path = make_path(np.full(20, 1.0))
-    result = decide(path, 0.05, 2.0, pivot, 0.05, mode="equivalence")
-    assert result.ratio == pytest.approx(-20.0)
-    assert result.decision == "reject"
-
-
 def test_decide_monotone_in_delta(pivot):
     path = make_path(np.linspace(0.5, 0.4, 20))
     normalizer = self_normalizer(path, NU)
@@ -184,8 +177,6 @@ def test_decide_validation(pivot):
         decide(path, 1.0, -0.1, pivot, 0.05)
     with pytest.raises(ValueError, match="level"):
         decide(path, 1.0, 0.1, pivot, 1.5)
-    with pytest.raises(ValueError, match="mode"):
-        decide(path, 1.0, 0.1, pivot, 0.05, mode="both")
 
 
 def test_pivot_is_reproducible_and_sorted():
