@@ -97,57 +97,38 @@ class IngestResult:
     excluded: tuple[tuple[int, int], ...]
 
 
-#: days before each month, and month lengths, in a year without Feb 29
+#: days before each month in a year without Feb 29
 _DAYS_BEFORE_MONTH = np.array([0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
-_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
 
 
-def _decode_dates(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Year, month, day and a parsed flag for each date text.
-
-    Texts of the form ``YYYY-MM-DD`` that name a real date are decoded from
-    their digits.  Every other text goes to ``datetime.date.fromisoformat``
-    on its own, so the accepted forms are exactly those it takes.
-    """
+def _parse_each(parse, texts: list[str], dtype, fill) -> tuple[np.ndarray, np.ndarray]:
+    """``parse`` of each text (``fill`` where it raises ValueError) and where it succeeded."""
     n = len(texts)
-    codes = np.array(texts, dtype="U10").view(np.uint32).reshape(n, 10)
-    digits = codes[:, [0, 1, 2, 3, 5, 6, 8, 9]].astype(np.int64) - ord("0")
-    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
-    month = digits[:, 4] * 10 + digits[:, 5]
-    day = digits[:, 6] * 10 + digits[:, 7]
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_ok = (month >= 1) & (month <= 12)
-    month_days = _MONTH_DAYS[np.where(month_ok, month, 1) - 1] + ((month == 2) & leap)
-    parsed = (
-        (np.fromiter(map(len, texts), np.intp, n) == 10)
-        & np.all((digits >= 0) & (digits <= 9), axis=1)
-        & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-"))
-        & (year >= 1) & month_ok & (day >= 1) & (day <= month_days)
-    )
-    for i in np.flatnonzero(~parsed):
-        try:
-            date = datetime.date.fromisoformat(texts[i])
-        except ValueError:
-            continue
-        year[i], month[i], day[i], parsed[i] = date.year, date.month, date.day, True
-    return year, month, day, parsed
-
-
-def _parse_floats(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``float`` of each text (NaN where it fails) and where it succeeded."""
     try:
-        return np.fromiter(map(float, texts), float, len(texts)), np.ones(len(texts), bool)
+        return np.fromiter(map(parse, texts), dtype, n), np.ones(n, bool)
     except ValueError:
         pass
-    values = np.full(len(texts), np.nan)
-    parsed = np.zeros(len(texts), bool)
+    values = np.full(n, fill, dtype)
+    parsed = np.zeros(n, bool)
     for i, text in enumerate(texts):
         try:
-            values[i] = float(text)
+            values[i] = parse(text)
         except ValueError:
             continue
         parsed[i] = True
     return values, parsed
+
+
+def _parse_dates(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Year, month and day of each ``datetime.date.fromisoformat`` text, and where it parsed."""
+    # the date objects live only in this call, off ingest_daily's peak
+    dates, parsed = _parse_each(datetime.date.fromisoformat, texts, object, datetime.date.min)
+    ordinals = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(texts))
+    days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
+    months = days.astype("datetime64[M]")
+    year = days.astype("datetime64[Y]").astype(np.int64) + 1970
+    return year, months.astype(np.int64) % 12 + 1, (days - months).astype(np.int64) + 1, parsed
 
 
 def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> IngestResult:
@@ -199,16 +180,16 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
     value_texts = list(map(str.strip, map(itemgetter(1), paired_lines)))
 
     # each check below sees only the rows that passed the ones before it
-    year, month, day, date_ok = _decode_dates(date_texts)
+    year, month, day, date_ok = _parse_dates(date_texts)
     has_value = date_ok & np.fromiter(map(bool, value_texts), bool, len(value_texts))
     values = np.full(len(value_texts), np.nan)
     value_ok = np.zeros(len(value_texts), bool)
-    values[has_value], value_ok[has_value] = _parse_floats(
-        list(compress(value_texts, has_value.tolist()))
+    values[has_value], value_ok[has_value] = _parse_each(
+        float, list(compress(value_texts, has_value.tolist())), float, np.nan
     )
     finite = np.isfinite(values)
     reading = finite & ~((month == 2) & (day == 29))
-    day_index = _DAYS_BEFORE_MONTH[np.where(reading, month, 1) - 1] + day
+    day_index = _DAYS_BEFORE_MONTH[month - 1] + day
     # readings sorted by (year, day), in line order within one day
     key = year * 366 + day_index
     by_day = np.flatnonzero(reading)
@@ -258,11 +239,10 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
     )
 
 
-#: the "-MM-DD" date suffixes of the 365 grid days
+#: the "-MM-DD" date suffixes of the 365 grid days, those of a year without Feb 29
 _GRID_MONTH_DAYS = tuple(
-    f"-{month:02d}-{day:02d}"
-    for month, length in enumerate(_MONTH_DAYS.tolist(), start=1)
-    for day in range(1, length + 1)
+    (datetime.date(2001, 1, 1) + datetime.timedelta(days=d)).strftime("-%m-%d")
+    for d in range(DAYS_PER_YEAR)
 )
 
 
@@ -294,19 +274,24 @@ def _classify(rejections: dict[float, bool], alphas) -> str:
     return f"FALSE>{round((1.0 - strongest) * 100)}%"
 
 
-def _resolve_pivot(K: int, cache_path) -> PivotDistribution:
-    """The default pivot, or the quantile summary in ``cache_path``.
+def _resolve_pivot(K: int, pivot) -> PivotDistribution:
+    """The pivot an analysis on the grid ``K`` decides from.
 
-    A missing cache is written from the default pivot and read back, so the
-    run that writes it decides as every later run does.
+    ``pivot`` is a PivotDistribution, the path of a quantile cache, or None
+    for the default pivot's quantile summary.  A missing cache is written
+    from the default pivot and read back, so None and a fresh cache decide
+    alike.
     """
-    if not cache_path:
-        return cached_pivot(K)
-    if not os.path.exists(cache_path):
-        cached_pivot(K).save(cache_path)
-    pivot = PivotDistribution.load(cache_path)
+    source = "the pivot"
+    if pivot is None:
+        pivot = cached_pivot(K).summary()
+    elif not isinstance(pivot, PivotDistribution):
+        source = f"quantile cache {pivot}"
+        if not os.path.exists(pivot):
+            cached_pivot(K).save(pivot)
+        pivot = PivotDistribution.load(pivot)
     if pivot.K != K:
-        raise ValueError(f"quantile cache {cache_path} was built for K={pivot.K}, need K={K}")
+        raise ValueError(f"{source} was built for K={pivot.K}, need K={K}")
     return pivot
 
 
@@ -360,6 +345,10 @@ class AnalysisConfig:
         if self.min_days > DAYS_PER_YEAR:
             raise ValueError(f"min_days must be at most the {DAYS_PER_YEAR} grid days of a "
                              f"year, got {self.min_days}")
+        # a retained year needs at least T readings for its least-squares fit
+        if self.min_days < self.T:
+            raise ValueError(f"min_days must be at least the basis order T={self.T}, "
+                             f"got {self.min_days}")
         for name in ("j_fun", "j_val"):
             j = getattr(self, name)
             if not 1 <= j <= self.T:
@@ -369,7 +358,7 @@ class AnalysisConfig:
 
 
 def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
-                 pivot: PivotDistribution | None = None) -> dict:
+                 pivot: PivotDistribution | str | os.PathLike | None = None) -> dict:
     """Change-point estimation plus relevance matrices for a daily-series file.
 
     The sample is split at the CUSUM argmax (boundary trim ``epsilon``), the
@@ -378,7 +367,10 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     each angle, and eigenvalue changes against thresholds tau_j / divisor
     where tau_j is the j-th pre-segment eigenvalue.  Cells report the
     strongest level in ``alphas`` at which the no-relevant-change null is
-    rejected.  ``pivot`` defaults to the cached default pivot for ``K``.
+    rejected.  ``pivot`` is a PivotDistribution on the grid ``K``, the path
+    of a quantile cache (written from the default pivot when missing), or
+    None for the default pivot's quantile summary, which decides as a fresh
+    cache does.  It is resolved only after the file yields enough years.
 
     Returns the report dictionary; files are written when ``out_dir`` is set.
     """
@@ -387,8 +379,7 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     n_years = ingest.series.n_obs
     if n_years < MIN_YEARS:
         raise ValueError(f"analysis needs at least {MIN_YEARS} retained years, got {n_years}")
-    if pivot is None:
-        pivot = cached_pivot(config.K)
+    pivot = _resolve_pivot(config.K, pivot)
     coeffs = ingest.series.coeffs
     cusum_input = coeffs - coeffs.mean(axis=0) if config.center_cusum else coeffs
     estimate = estimate_changepoint(cusum_input, config.epsilon)
@@ -675,9 +666,7 @@ def _cmd_analyze(args) -> int:
     if not paths.get("csv"):
         raise ValueError("analyze needs --csv (or a config file providing 'csv')")
     out_dir = paths.get("out_dir", os.environ.get(OUT_DIR_ENV, "."))
-    # every setting was refused above, before a pivot is simulated or a cache written
-    pivot = _resolve_pivot(config.K, paths.get("quantile_cache"))
-    report = run_analysis(paths["csv"], out_dir, config, pivot)
+    report = run_analysis(paths["csv"], out_dir, config, paths.get("quantile_cache") or None)
     print(
         f"{report['n_years']} years; split after {report['last_pre_year']} "
         f"(k={report['k_hat']}, theta={report['theta_hat']:.4f})"

@@ -155,11 +155,19 @@ class PivotDistribution:
         """Empirical probability that the pivot is <= x."""
         return float(np.searchsorted(self.sample, x, side="right")) / self.sample.size
 
+    def summary(self) -> "PivotDistribution":
+        """The quantiles at the midpoints of a grid of at most 10k probabilities.
+
+        This is the pivot that ``save`` writes and ``load`` reads back.
+        """
+        grid = min(self.sample.size, _CACHE_GRID)
+        values = np.quantile(self.sample, (np.arange(grid) + 0.5) / grid)
+        return PivotDistribution(K=self.K, sample=values, seed=self.seed, r_total=self.r_total)
+
     def save(self, path) -> None:
         """Write a plain-text quantile summary keyed by (K, R, seed)."""
-        grid = min(self.sample.size, _CACHE_GRID)
-        probs = (np.arange(grid) + 0.5) / grid
-        values = np.quantile(self.sample, probs)
+        values = self.summary().sample
+        probs = (np.arange(values.size) + 0.5) / values.size
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("# eigenbreak pivot quantile cache\n")
             fh.write(f"# K={self.K} R={self.r_total} seed={self.seed}\n")

@@ -546,6 +546,7 @@ def test_analyze_refuses_bad_settings_before_ingestion(tmp_path, capsys, monkeyp
     (["--alphas", "0,0.5"], "'alphas'"),
     (["--alphas", "1.5"], "'alphas'"),
     (["--min-days", "400"], "min_days"),
+    (["--min-days", "3"], "min_days"),  # fewer than the T=5 readings a fit needs
 ])
 def test_analyze_refuses_bad_settings_before_the_pivot(tmp_path, capsys, monkeypatch,
                                                        ten_year_csv, flags, message):
@@ -581,17 +582,54 @@ def test_eigenvalue_threshold_past_the_rank_is_zero(tmp_path, ten_year_csv):
 
 def test_run_writing_the_quantile_cache_matches_later_runs(tmp_path, ten_year_csv):
     # a missing cache is written from the default pivot and read back, so the
-    # first run decides from the same quantile summary as every later run
+    # first run decides from the same quantile summary as every later run, and
+    # a run without a cache decides from that summary too
     csv_path, _ = ten_year_csv
-    cache = tmp_path / "fresh.csv"
+    cached = ["--quantile-cache", str(tmp_path / "fresh.csv")]
     reports = []
-    for run in ("first", "second"):
+    for run, cache in (("first", cached), ("second", cached), ("no-cache", [])):
         out_dir = tmp_path / run
-        rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5",
-                   "--quantile-cache", str(cache), "--out-dir", str(out_dir)])
+        rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5", *cache,
+                   "--out-dir", str(out_dir)])
         assert rc == 0
         reports.append((out_dir / "report.json").read_bytes())
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def _write_short_csv(path, csv_path):
+    write_daily_csv(generate(DGPSpec(N=5, T=5, seed=2)), 1900, path)
+
+
+def _write_bad_date_csv(path, csv_path):
+    path.write_text(csv_path.read_text() + "1990-02-30,1.0\n")
+
+
+@pytest.mark.parametrize("write, message", [
+    (None, "No such file"),
+    (_write_short_csv, "at least 8 retained years"),
+    (_write_bad_date_csv, "unparseable date '1990-02-30'"),
+])
+def test_analyze_reads_the_csv_before_writing_a_cache(tmp_path, capsys, monkeypatch,
+                                                      ten_year_csv, write, message):
+    def fail(*args):
+        raise AssertionError("a pivot was simulated")
+
+    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    monkeypatch.setattr(selfnorm, "simulate_pivot", fail)
+    csv_path = tmp_path / "data.csv"
+    if write is not None:
+        write(csv_path, ten_year_csv[0])
+    cache = tmp_path / "fresh.csv"
+    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5",
+               "--quantile-cache", str(cache), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not cache.exists()
+
+
+def test_run_analysis_refuses_a_pivot_of_another_grid(ten_year_csv, small_pivot):
+    with pytest.raises(ValueError, match="built for K=20, need K=10"):
+        run_analysis(ten_year_csv[0], None, AnalysisConfig(T=5, j_val=5, K=10), small_pivot)
 
 
 def test_experiment_config_file_accepts_tau(tmp_path):
@@ -606,11 +644,12 @@ def test_experiment_config_file_accepts_tau(tmp_path):
     assert config.tau == (1.0, 0.5, 0.25, 0.125, 0.0625)
 
 
-def test_analyze_rejects_mismatched_cache(tmp_path, capsys):
+def test_analyze_rejects_mismatched_cache(tmp_path, capsys, ten_year_csv):
     cache = tmp_path / "cache.csv"
     assert main(["quantiles", "--K", "30", "--R", "20000", "--seed", "3",
                  "--out", str(cache)]) == 0
-    rc = main(["analyze", "--csv", str(tmp_path / "none.csv"), "--K", "20",
+    csv_path, _ = ten_year_csv
+    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5", "--K", "20",
                "--quantile-cache", str(cache), "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "K=30" in capsys.readouterr().err

@@ -208,6 +208,10 @@ def test_pivot_save_load_roundtrip(tmp_path, pivot):
     lines = path.read_text().splitlines()[3:]
     expected = np.array([float(line.partition(",")[2]) for line in lines])
     assert loaded.sample.tobytes() == expected.tobytes()
+    # summary() is the pivot that save writes and load reads back
+    summary = pivot.summary()
+    assert (summary.K, summary.R, summary.seed) == (loaded.K, loaded.R, loaded.seed)
+    assert summary.sample.tobytes() == loaded.sample.tobytes()
 
 
 @pytest.mark.parametrize("text", [
