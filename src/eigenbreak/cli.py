@@ -163,7 +163,7 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
         Coefficient rows in ascending year order, the retained years, and
         the excluded (year, reading count) pairs.
     """
-    with open(csv_path, "r", encoding="utf-8", newline="") as fh:
+    with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["date", "value"]:
@@ -265,31 +265,24 @@ def write_daily_csv(series: CoeffSeries, start_year: int, path) -> None:
 # analysis pipeline
 
 
-def _classify(rejections: dict[float, bool], alphas) -> str:
-    """Table cell from the per-level decisions: retain, or the strongest rejection."""
-    rejecting = [a for a in alphas if rejections[a]]
-    if not rejecting:
-        return "TRUE"
-    strongest = min(rejecting)
-    return f"FALSE>{round((1.0 - strongest) * 100)}%"
-
-
 def _resolve_pivot(K: int, pivot) -> PivotDistribution:
     """The pivot an analysis on the grid ``K`` decides from.
 
-    ``pivot`` is a PivotDistribution, the path of a quantile cache, or None
-    for the default pivot's quantile summary.  A missing cache is written
-    from the default pivot and read back, so None and a fresh cache decide
-    alike.
+    ``pivot`` is a PivotDistribution, the path of an existing quantile cache,
+    or None for the default pivot's quantile summary, which holds the numbers
+    a default cache from ``eigenbreak quantiles`` holds.  Only that command
+    writes caches: a missing one is refused.
     """
     source = "the pivot"
     if pivot is None:
         pivot = cached_pivot(K).summary()
     elif not isinstance(pivot, PivotDistribution):
         source = f"quantile cache {pivot}"
-        if not os.path.exists(pivot):
-            cached_pivot(K).save(pivot)
-        pivot = PivotDistribution.load(pivot)
+        try:
+            pivot = PivotDistribution.load(pivot)
+        except FileNotFoundError:
+            raise ValueError(f"quantile cache {pivot} does not exist; write it with "
+                             f"'eigenbreak quantiles --K {K} --out {pivot}'") from None
     if pivot.K != K:
         raise ValueError(f"{source} was built for K={pivot.K}, need K={K}")
     return pivot
@@ -368,9 +361,10 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     where tau_j is the j-th pre-segment eigenvalue.  Cells report the
     strongest level in ``alphas`` at which the no-relevant-change null is
     rejected.  ``pivot`` is a PivotDistribution on the grid ``K``, the path
-    of a quantile cache (written from the default pivot when missing), or
-    None for the default pivot's quantile summary, which decides as a fresh
-    cache does.  It is resolved only after the file yields enough years.
+    of an existing quantile cache, or None for the default pivot's quantile
+    summary, which decides as a default cache from ``eigenbreak quantiles``
+    does.  It is resolved only after the file yields enough years, and no
+    file is written outside ``out_dir``.
 
     Returns the report dictionary; files are written when ``out_dir`` is set.
     """
@@ -398,9 +392,10 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
         norm = self_normalizer(path, nu)
         cells = []
         for label, delta in deltas_by_label:
-            results = {a: decide(path, norm, delta, pivot, a) for a in alphas}
-            rejections = {a: results[a].decision == "reject" for a in alphas}
-            base = results[alphas[0]]
+            results = [decide(path, norm, delta, pivot, a) for a in alphas]
+            # alphas descend, so the last rejecting level is the strongest
+            rejecting = [a for a, r in zip(alphas, results) if r.decision == "reject"]
+            base = results[0]
             cells.append(
                 {
                     "j": path.j,
@@ -410,7 +405,8 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
                     "normalizer": base.normalizer,
                     "ratio": base.ratio,
                     "p_value": base.p_value,
-                    "cell": _classify(rejections, alphas),
+                    "cell": (f"FALSE>{round((1.0 - rejecting[-1]) * 100)}%"
+                             if rejecting else "TRUE"),
                     "warnings": list(base.warnings),
                 }
             )
@@ -459,27 +455,21 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
                   newline="\n") as fh:
             json.dump(report, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        _write_matrix_csv(
-            os.path.join(out_dir, "eigenfunction_table.csv"),
-            eigenfunction_cells, "angle", [f"angle={a!r}" for a in config.angles], config.j_fun,
-        )
-        _write_matrix_csv(
-            os.path.join(out_dir, "eigenvalue_table.csv"),
-            eigenvalue_cells, "divisor", [f"divisor={d}" for d in config.divisors],
-            config.j_val,
-        )
+        _write_matrix_csv(os.path.join(out_dir, "eigenfunction_table.csv"), eigenfunction_cells,
+                          "angle", [repr(a) for a in config.angles], config.j_fun)
+        _write_matrix_csv(os.path.join(out_dir, "eigenvalue_table.csv"), eigenvalue_cells,
+                          "divisor", [str(d) for d in config.divisors], config.j_val)
         _write_segment_eigendata(out_dir, ingest.series.basis, pre_system, post_system)
     return report
 
 
-def _write_matrix_csv(path, cells, row_name, row_labels, j_max) -> None:
-    lookup = {(cell["threshold_label"], cell["j"]): cell["cell"] for cell in cells}
+def _write_matrix_csv(path, cells, row_name, row_values, j_max) -> None:
+    """One row per threshold and one column per j; ``cells`` list the thresholds within each j."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(row_name + "," + ",".join(f"j={j}" for j in range(1, j_max + 1)) + "\n")
-        for label in row_labels:
-            value = label.split("=", 1)[1]
-            cells_row = [lookup[(label, j)] for j in range(1, j_max + 1)]
-            fh.write(value + "," + ",".join(cells_row) + "\n")
+        for i, value in enumerate(row_values):
+            grades = [cell["cell"] for cell in cells[i::len(row_values)]]
+            fh.write(value + "," + ",".join(grades) + "\n")
 
 
 def _write_segment_eigendata(out_dir, basis, pre_system, post_system) -> None:

@@ -99,15 +99,13 @@ def gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int,
     pair whose Gram eigenvector lies in the null space of ``rows.T`` keeps a
     zero function.
     """
-    m = rows.shape[0]
-    if not with_functions:
-        return np.linalg.eigvalsh(gram / m)[::-1][:p] * weight, None
-    vals, vecs = np.linalg.eigh(gram / m)
-    functions = vecs[:, ::-1][:, :p].T @ rows
-    # unit Euclidean rows first, then 1/sqrt(w) for unit quadrature norm
-    norms = np.sqrt(weight) * np.linalg.norm(functions, axis=1, keepdims=True)
-    np.divide(functions, norms, out=functions, where=norms > 0.0)
-    return vals[::-1][:p] * weight, functions
+    vals, functions = operator_eigh(gram / rows.shape[0], 1.0, p, with_functions)
+    if with_functions:
+        functions = functions @ rows
+        # unit Euclidean rows first, then 1/sqrt(w) for unit quadrature norm
+        norms = np.sqrt(weight) * np.linalg.norm(functions, axis=1, keepdims=True)
+        np.divide(functions, norms, out=functions, where=norms > 0.0)
+    return vals * weight, functions
 
 
 def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:

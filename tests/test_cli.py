@@ -18,7 +18,7 @@ from eigenbreak.cli import (
     write_daily_csv,
 )
 from eigenbreak.datagen import DGPSpec, generate
-from eigenbreak.funcspace import fourier_basis
+from eigenbreak.funcspace import CoeffSeries, fourier_basis
 from eigenbreak.selfnorm import simulate_pivot
 
 
@@ -170,6 +170,21 @@ def test_ingest_rejects_bad_header(tmp_path):
     path.write_text("day,temp\n2001-01-01,1.0\n")
     with pytest.raises(ValueError, match="header"):
         ingest_daily(path, order=3)
+
+
+def test_ingest_accepts_a_byte_order_mark(tmp_path):
+    # spreadsheet exports often start with the UTF-8 BOM
+    path = tmp_path / "series.csv"
+    write_daily_csv(generate(DGPSpec(N=4, T=5, seed=3)), 1990, path)
+    # a sparse last year, so that a year is excluded too
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-100]))
+    plain = ingest_daily(path, order=5)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    with_bom = ingest_daily(marked, order=5)
+    assert with_bom.series.coeffs.tobytes() == plain.series.coeffs.tobytes()
+    assert with_bom.years == plain.years == (1990, 1991, 1992)
+    assert with_bom.excluded == plain.excluded
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +380,26 @@ def test_analysis_bytes_are_golden(tmp_path, small_pivot):
         "eigenfunctions.csv": (
             "8d7724ad784f399583025afe4830213f0f09cea24a7fd6c0702295bc5e727e85"),
     }
+
+
+def test_centred_analysis_ignores_the_level_of_the_data(tmp_path, small_pivot):
+    # the centred scan and the mean-corrected kernels see no constant shift
+    # of every year, so readings in degrees C and in K split and grade alike
+    series = generate(DGPSpec(N=40, T=9, break_kind="rotation", magnitude=math.pi / 2, seed=0))
+    shifted = series.coeffs.copy()
+    shifted[:, 0] += 10.0  # the first basis function is the constant one
+    config = AnalysisConfig(T=9, j_fun=5, j_val=9, center_cusum=True)
+    reports = []
+    for name, coeffs in (("plain", series.coeffs), ("shifted", shifted)):
+        csv_path = tmp_path / f"{name}.csv"
+        write_daily_csv(CoeffSeries(coeffs, series.basis), 1950, csv_path)
+        reports.append(run_analysis(csv_path, None, config, small_pivot))
+    plain, moved = reports
+    assert moved["k_hat"] == plain["k_hat"]
+    for kind in ("eigenfunction_tests", "eigenvalue_tests"):
+        assert [c["cell"] for c in moved[kind]] == [c["cell"] for c in plain[kind]]
+        np.testing.assert_allclose([c["statistic"] for c in moved[kind]],
+                                   [c["statistic"] for c in plain[kind]], rtol=1e-10)
 
 
 def test_analysis_report_matrix_shapes(tmp_path, small_pivot):
@@ -580,20 +615,35 @@ def test_eigenvalue_threshold_past_the_rank_is_zero(tmp_path, ten_year_csv):
     assert deltas[5] == 0.0
 
 
-def test_run_writing_the_quantile_cache_matches_later_runs(tmp_path, ten_year_csv):
-    # a missing cache is written from the default pivot and read back, so the
-    # first run decides from the same quantile summary as every later run, and
-    # a run without a cache decides from that summary too
+def test_a_default_quantile_cache_decides_as_no_cache(tmp_path, ten_year_csv):
+    # a run without a cache decides from the default pivot's quantile
+    # summary, which is what a default cache from `quantiles` holds
     csv_path, _ = ten_year_csv
-    cached = ["--quantile-cache", str(tmp_path / "fresh.csv")]
+    cache = tmp_path / "default.csv"
+    assert main(["quantiles", "--K", "20", "--out", str(cache)]) == 0
     reports = []
-    for run, cache in (("first", cached), ("second", cached), ("no-cache", [])):
+    for run, cached in (("cached", ["--quantile-cache", str(cache)]), ("no-cache", [])):
         out_dir = tmp_path / run
-        rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5", *cache,
+        rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5", *cached,
                    "--out-dir", str(out_dir)])
         assert rc == 0
         reports.append((out_dir / "report.json").read_bytes())
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1]
+
+
+def test_analyze_refuses_a_missing_quantile_cache(tmp_path, capsys, monkeypatch, ten_year_csv):
+    def fail(*args):
+        raise AssertionError("a pivot was simulated")
+
+    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    monkeypatch.setattr(selfnorm, "simulate_pivot", fail)
+    cache = tmp_path / "missing.csv"
+    rc = main(["analyze", "--csv", str(ten_year_csv[0]), "--T", "5", "--j-val", "5",
+               "--quantile-cache", str(cache), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(cache) in err and "eigenbreak quantiles" in err
+    assert not cache.exists()
 
 
 def _write_short_csv(path, csv_path):
