@@ -43,8 +43,6 @@ from .selfnorm import (
     PivotDistribution,
     cached_pivot,
     decide,
-    eigenfunction_diff_path,
-    eigenvalue_diff_path,
     self_normalizer,
     sequential_eigensystem_paths,
     simulate_pivot,
@@ -265,14 +263,16 @@ def write_daily_csv(series: CoeffSeries, start_year: int, path) -> None:
 # analysis pipeline
 
 
-def _resolve_pivot(K: int, pivot) -> PivotDistribution:
-    """The pivot an analysis on the grid ``K`` decides from.
+def _resolve_pivot(config: AnalysisConfig, pivot) -> PivotDistribution:
+    """The pivot an analysis with ``config`` decides from.
 
     ``pivot`` is a PivotDistribution, the path of an existing quantile cache,
     or None for the default pivot's quantile summary, which holds the numbers
     a default cache from ``eigenbreak quantiles`` holds.  Only that command
-    writes caches: a missing one is refused.
+    writes caches: a missing one is refused, as is a pivot for another ``K``
+    or one with fewer than ten draws above the smallest level's quantile.
     """
+    K, alpha = config.K, min(config.alphas)
     source = "the pivot"
     if pivot is None:
         pivot = cached_pivot(K).summary()
@@ -285,6 +285,10 @@ def _resolve_pivot(K: int, pivot) -> PivotDistribution:
                              f"'eigenbreak quantiles --K {K} --out {pivot}'") from None
     if pivot.K != K:
         raise ValueError(f"{source} was built for K={pivot.K}, need K={K}")
+    if pivot.sample.size * alpha < 10:
+        raise ValueError(f"{source} holds {pivot.sample.size} draws, fewer than 10 above its "
+                         f"{1 - alpha:.4g} quantile at level {alpha!r}; write a larger one with "
+                         f"'eigenbreak quantiles --K {K} --R {math.ceil(10 / alpha)}'")
     return pivot
 
 
@@ -325,12 +329,13 @@ class AnalysisConfig:
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "divisors", tuple(self.divisors))
         object.__setattr__(self, "alphas", tuple(sorted(map(float, self.alphas), reverse=True)))
+        for name in ("angles", "divisors", "alphas"):
+            if not getattr(self, name):
+                raise ValueError(f"setting {name!r} must not be empty")
         if any(d <= 0 for d in self.divisors):
             raise ValueError(
                 f"eigenvalue threshold divisors must be positive, got {list(self.divisors)}"
             )
-        if not self.alphas:
-            raise ValueError("significance levels 'alphas' must not be empty")
         if not all(0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(
                 f"significance levels 'alphas' must lie in (0,1), got {list(self.alphas)}"
@@ -363,17 +368,18 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     rejected.  ``pivot`` is a PivotDistribution on the grid ``K``, the path
     of an existing quantile cache, or None for the default pivot's quantile
     summary, which decides as a default cache from ``eigenbreak quantiles``
-    does.  It is resolved only after the file yields enough years, and no
-    file is written outside ``out_dir``.
+    does; it must hold at least 10 / min(alphas) draws.  It is resolved
+    only after the file yields enough years, and no file is written
+    outside ``out_dir``.  Both matrices' test paths come from one set of
+    sequential eigen paths through ``EigenPaths.diff``.
 
     Returns the report dictionary; files are written when ``out_dir`` is set.
     """
-    alphas = config.alphas
     ingest = ingest_daily(csv_path, config.T, config.min_days)
     n_years = ingest.series.n_obs
     if n_years < MIN_YEARS:
         raise ValueError(f"analysis needs at least {MIN_YEARS} retained years, got {n_years}")
-    pivot = _resolve_pivot(config.K, pivot)
+    pivot = _resolve_pivot(config, pivot)
     coeffs = ingest.series.coeffs
     cusum_input = coeffs - coeffs.mean(axis=0) if config.center_cusum else coeffs
     estimate = estimate_changepoint(cusum_input, config.epsilon)
@@ -385,16 +391,16 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     pre_system = eigendecompose(pre_kernel, pre_kernel.dim)
     post_system = eigendecompose(post_kernel, post_kernel.dim)
 
-    p_need = min(config.T, max(config.j_fun, config.j_val))
-    paths = sequential_eigensystem_paths(split, p_need, nu, center=True, with_functions=True)
+    paths = sequential_eigensystem_paths(split, max(config.j_fun, config.j_val), nu,
+                                         center=True, with_functions=True)
 
     def run_tests(path, deltas_by_label):
         norm = self_normalizer(path, nu)
         cells = []
         for label, delta in deltas_by_label:
-            results = [decide(path, norm, delta, pivot, a) for a in alphas]
+            results = [decide(path, norm, delta, pivot, a) for a in config.alphas]
             # alphas descend, so the last rejecting level is the strongest
-            rejecting = [a for a, r in zip(alphas, results) if r.decision == "reject"]
+            rejecting = [a for a, r in zip(config.alphas, results) if r.decision == "reject"]
             base = results[0]
             cells.append(
                 {
@@ -414,13 +420,13 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
 
     eigenfunction_cells = []
     for j in range(1, config.j_fun + 1):
-        path = eigenfunction_diff_path(paths, j)
+        path = paths.diff(j, "eigenfunction")
         deltas = [(f"angle={angle!r}", 2.0 - 2.0 * math.cos(angle)) for angle in config.angles]
         eigenfunction_cells.extend(run_tests(path, deltas))
 
     eigenvalue_cells = []
     for j in range(1, config.j_val + 1):
-        path = eigenvalue_diff_path(paths, j)
+        path = paths.diff(j, "eigenvalue")
         # the kernel is PSD: past the pre-segment's rank, tau_j is round-off
         tau_pre = max(0.0, float(pre_system.eigenvalues[j - 1]))
         deltas = [(f"divisor={d}", tau_pre / d) for d in config.divisors]

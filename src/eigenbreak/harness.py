@@ -25,6 +25,7 @@ from .selfnorm import (
     DEFAULT_K,
     DEFAULT_PIVOT_REPLICATES,
     DEFAULT_PIVOT_SEED,
+    PATH_KINDS,
     NuMeasure,
     cached_pivot,
     decide,
@@ -44,8 +45,6 @@ __all__ = [
     "epsilon_sweep",
     "angle_for_distance_sq",
 ]
-
-TEST_KINDS = ("eigenvalue", "eigenfunction")
 
 _CHUNK = 250
 
@@ -81,8 +80,8 @@ class ExperimentConfig:
     pivot_seed: int = DEFAULT_PIVOT_SEED
 
     def __post_init__(self):
-        if self.test_kind not in TEST_KINDS:
-            raise ValueError(f"unknown test kind {self.test_kind!r}; expected one of {TEST_KINDS}")
+        if self.test_kind not in PATH_KINDS:
+            raise ValueError(f"unknown test kind {self.test_kind!r}; expected one of {PATH_KINDS}")
         if self.delta < 0.0:
             raise ValueError(f"relevance threshold must be nonnegative, got {self.delta}")
         if len(self.magnitudes) == 0:

@@ -28,8 +28,6 @@ __all__ = [
     "cached_pivot",
     "seed_pivot_cache",
     "sequential_eigensystem_paths",
-    "eigenvalue_diff_path",
-    "eigenfunction_diff_path",
     "diff_path",
     "self_normalizer",
     "decide",
@@ -38,6 +36,7 @@ __all__ = [
 DEFAULT_K = 20
 DEFAULT_PIVOT_REPLICATES = 500_000
 DEFAULT_PIVOT_SEED = 271828
+PATH_KINDS = ("eigenvalue", "eigenfunction")
 
 #: normalizers below this are treated as degenerate: retain with a warning
 #: instead of dividing by a numerical zero
@@ -231,12 +230,16 @@ def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
     while pos < R:
         n = min(_PIVOT_CHUNK, R - pos)
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_idx)))
-        increments = rng.standard_normal((n, K)) * np.sqrt(1.0 / K)
-        motion = np.cumsum(increments, axis=1)
-        end = motion[:, -1]
-        bridge = motion[:, :-1] - lams * end[:, None]
-        denom = np.sqrt(np.mean(lams**2 * bridge**2, axis=1))
-        out[pos : pos + n] = end / denom
+        # one (n, K) buffer holds the increments, the motion and the bridge
+        motion = rng.standard_normal((n, K))
+        motion *= np.sqrt(1.0 / K)
+        np.cumsum(motion, axis=1, out=motion)
+        end = motion[:, -1].copy()
+        bridge = motion[:, :-1]
+        bridge -= lams * end[:, None]
+        np.square(bridge, out=bridge)
+        bridge *= lams**2
+        out[pos : pos + n] = end / np.sqrt(np.mean(bridge, axis=1))
         pos += n
         chunk_idx += 1
     out.sort()
@@ -293,6 +296,33 @@ class EigenPaths:
     weight: float
     p_max: int
 
+    def diff(self, j: int, kind: str) -> DiffPath:
+        """Test path of the j-th eigenpair, with gap warnings at lambda = 1.
+
+        'eigenvalue' squares the segments' eigenvalue difference per lambda;
+        'eigenfunction' takes the squared sign-free distance of their
+        eigenfunctions on the raw vectors, since a zero kernel's are zero.
+        """
+        if kind not in PATH_KINDS:
+            raise ValueError(f"unknown path kind {kind!r}; "
+                             "expected 'eigenvalue' or 'eigenfunction'")
+        if kind == "eigenfunction" and (self.functions1 is None or self.functions2 is None):
+            raise ValueError("paths were computed without eigenfunctions")
+        if not 1 <= j <= self.p_max:
+            raise ValueError(f"eigen index {j} exceeds the decomposed range 1..{self.p_max}")
+        if kind == "eigenvalue":
+            values = (self.values1[:, j - 1] - self.values2[:, j - 1]) ** 2
+        else:
+            values = aligned_distance_sq(self.functions1[:, j - 1], self.functions2[:, j - 1],
+                                         weight=self.weight)
+        notes = []
+        for label, vals in (("first segment", self.values1), ("second segment", self.values2)):
+            note = gap_warning(vals[-1], j)
+            if note is not None:
+                notes.append(f"{label}: {note}")
+        return DiffPath(lambdas=self.lambdas, values=values, j=j, kind=kind,
+                        warnings=tuple(notes))
+
 
 def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p: int, weight: float,
                    center: bool, with_functions: bool):
@@ -308,23 +338,22 @@ def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p: int, weight: floa
     if center:
         values = values - values.mean(axis=0)
     counts = np.array([prefix_count(n, lam) for lam in lambdas])
+    vals = np.zeros((counts.size, p))
+    funcs = np.zeros((counts.size, p, r)) if with_functions else None
     # the counts do not decrease, so the Gram-form prefixes are one run
     dual = (counts >= p) & (counts < r) & (r >= _GRAM_MIN_DIM)
-    stacked = counts[~dual]
-    vals, funcs = operator_eigh(prefix_moments(values, stacked), weight, p, with_functions)
-    empty = stacked == 0
-    vals[empty] = 0.0
-    if funcs is not None:
-        funcs[empty] = 0.0
+    stacked = np.flatnonzero((counts > 0) & ~dual)
+    pairs = [(stacked, operator_eigh(prefix_moments(values, counts[stacked]), weight, p,
+                                     with_functions))]
     if dual.any():
-        short = counts[dual]
-        head = values[: short[-1]]
+        head = values[: counts[dual][-1]]
         gram = head @ head.T
-        pairs = [gram_eigh(head[:m], gram[:m, :m], weight, p, with_functions) for m in short]
-        at = dual.argmax()
-        vals = np.concatenate([vals[:at], [v for v, _ in pairs], vals[at:]])
-        if funcs is not None:
-            funcs = np.concatenate([funcs[:at], [f for _, f in pairs], funcs[at:]])
+        pairs += [(i, gram_eigh(head[:m], gram[:m, :m], weight, p, with_functions))
+                  for i, m in zip(np.flatnonzero(dual), counts[dual])]
+    for at, (v, f) in pairs:
+        vals[at] = v
+        if with_functions:
+            funcs[at] = f
     return vals, funcs
 
 
@@ -359,50 +388,6 @@ def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
     )
 
 
-def _path_warnings(paths: EigenPaths, j: int) -> tuple[str, ...]:
-    notes = []
-    for label, vals in (("first segment", paths.values1), ("second segment", paths.values2)):
-        note = gap_warning(vals[-1], j)
-        if note is not None:
-            notes.append(f"{label}: {note}")
-    return tuple(notes)
-
-
-def eigenvalue_diff_path(paths: EigenPaths, j: int) -> DiffPath:
-    """Squared difference of the two segments' j-th eigenvalues per lambda."""
-    if not 1 <= j <= paths.p_max:
-        raise ValueError(f"eigen index {j} exceeds the decomposed range 1..{paths.p_max}")
-    diff = paths.values1[:, j - 1] - paths.values2[:, j - 1]
-    return DiffPath(
-        lambdas=paths.lambdas,
-        values=diff**2,
-        j=j,
-        kind="eigenvalue",
-        warnings=_path_warnings(paths, j),
-    )
-
-
-def eigenfunction_diff_path(paths: EigenPaths, j: int) -> DiffPath:
-    """Squared sign-free distance of the segments' j-th eigenfunctions per lambda.
-
-    Eigenfunctions of a degenerate (zero) kernel enter as zero functions, so
-    the min-form distance is evaluated on the raw vectors rather than
-    requiring unit norms.
-    """
-    if paths.functions1 is None or paths.functions2 is None:
-        raise ValueError("paths were computed without eigenfunctions")
-    if not 1 <= j <= paths.p_max:
-        raise ValueError(f"eigen index {j} exceeds the decomposed range 1..{paths.p_max}")
-    return DiffPath(
-        lambdas=paths.lambdas,
-        values=aligned_distance_sq(paths.functions1[:, j - 1, :], paths.functions2[:, j - 1, :],
-                                   weight=paths.weight),
-        j=j,
-        kind="eigenfunction",
-        warnings=_path_warnings(paths, j),
-    )
-
-
 def diff_path(split: SplitSample, j: int, nu: NuMeasure, kind: str,
               *, center: bool = False) -> DiffPath:
     """Sequential squared-difference path of the j-th eigenpair of a split sample.
@@ -426,14 +411,9 @@ def diff_path(split: SplitSample, j: int, nu: NuMeasure, kind: str,
     -------
     DiffPath
     """
-    if kind not in ("eigenvalue", "eigenfunction"):
-        raise ValueError(f"unknown path kind {kind!r}; expected 'eigenvalue' or 'eigenfunction'")
-    paths = sequential_eigensystem_paths(
+    return sequential_eigensystem_paths(
         split, j, nu, center=center, with_functions=kind == "eigenfunction"
-    )
-    if kind == "eigenvalue":
-        return eigenvalue_diff_path(paths, j)
-    return eigenfunction_diff_path(paths, j)
+    ).diff(j, kind)
 
 
 def self_normalizer(path: DiffPath, nu: NuMeasure) -> float:

@@ -582,6 +582,8 @@ def test_analyze_refuses_bad_settings_before_ingestion(tmp_path, capsys, monkeyp
     (["--alphas", "1.5"], "'alphas'"),
     (["--min-days", "400"], "min_days"),
     (["--min-days", "3"], "min_days"),  # fewer than the T=5 readings a fit needs
+    (["--angles", ","], "'angles' must not be empty"),
+    (["--divisors", ","], "'divisors' must not be empty"),
 ])
 def test_analyze_refuses_bad_settings_before_the_pivot(tmp_path, capsys, monkeypatch,
                                                        ten_year_csv, flags, message):
@@ -644,6 +646,30 @@ def test_analyze_refuses_a_missing_quantile_cache(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert str(cache) in err and "eigenbreak quantiles" in err
     assert not cache.exists()
+
+
+@pytest.mark.parametrize("draws, alphas, refused", [
+    ("3", "0.1,0.05,0.01", True),
+    ("99", "0.1", True),  # 9.9 draws above the 0.9 quantile
+    ("100", "0.1", False),
+])
+def test_analyze_refuses_a_coarse_quantile_cache(tmp_path, capsys, ten_year_csv,
+                                                 draws, alphas, refused):
+    cache = tmp_path / "coarse.csv"
+    assert main(["quantiles", "--K", "20", "--R", draws, "--out", str(cache)]) == 0
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    rc = main(["analyze", "--csv", str(ten_year_csv[0]), "--T", "5", "--j-val", "5",
+               "--alphas", alphas, "--quantile-cache", str(cache), "--out-dir", str(out_dir)])
+    if not refused:
+        assert rc == 0
+        return
+    assert rc == 1
+    err = capsys.readouterr().err
+    level = alphas.split(",")[-1]
+    assert f"holds {draws} draws" in err and f"level {level}" in err
+    assert "eigenbreak quantiles --K 20 --R" in err
+    assert not out_dir.exists()
 
 
 def _write_short_csv(path, csv_path):

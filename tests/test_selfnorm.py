@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,6 @@ from eigenbreak.selfnorm import (
     PivotDistribution,
     decide,
     diff_path,
-    eigenfunction_diff_path,
-    eigenvalue_diff_path,
     cached_pivot,
     seed_pivot_cache,
     self_normalizer,
@@ -188,6 +187,17 @@ def test_pivot_is_reproducible_and_sorted():
     assert not np.array_equal(a.sample, c.sample)
 
 
+def test_pivot_simulation_memory_is_bounded():
+    # each 100k-draw chunk is drawn into one (n, K) buffer of 16 MB at K=20
+    tracemalloc.start()
+    try:
+        simulate_pivot(20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
+
+
 def test_pivot_median_is_near_zero():
     sample = simulate_pivot(20, 200_000, 12)
     assert abs(np.median(sample.sample)) <= 0.02
@@ -261,10 +271,10 @@ def test_multi_index_paths_share_eigensystems():
     paths = sequential_eigensystem_paths(split, 3, NU, with_functions=True)
     for j in (1, 2, 3):
         one = diff_path(split, j, NU, "eigenvalue")
-        np.testing.assert_allclose(eigenvalue_diff_path(paths, j).values, one.values, atol=1e-12)
+        np.testing.assert_allclose(paths.diff(j, "eigenvalue").values, one.values, atol=1e-12)
         one_fun = diff_path(split, j, NU, "eigenfunction")
         np.testing.assert_allclose(
-            eigenfunction_diff_path(paths, j).values, one_fun.values, atol=1e-12
+            paths.diff(j, "eigenfunction").values, one_fun.values, atol=1e-12
         )
 
 
@@ -275,6 +285,21 @@ def test_diff_path_index_validation():
         diff_path(split, 5, NU, "eigenvalue")
     with pytest.raises(ValueError, match="kind"):
         diff_path(split, 1, NU, "spectrum")
+
+
+def test_eigen_paths_diff_refuses_bad_requests():
+    values = np.random.default_rng(1).standard_normal((20, 4))
+    split = SplitSample.at_index(values, 10)
+    paths = sequential_eigensystem_paths(split, 2, NU)
+    with pytest.raises(ValueError, match="unknown path kind 'spectrum'"):
+        paths.diff(1, "spectrum")
+    for j in (0, 3):
+        with pytest.raises(ValueError, match=rf"eigen index {j} exceeds the decomposed range 1\.\.2"):
+            paths.diff(j, "eigenvalue")
+    values_only = sequential_eigensystem_paths(split, 2, NU, with_functions=False)
+    assert values_only.diff(2, "eigenvalue").kind == "eigenvalue"
+    with pytest.raises(ValueError, match="paths were computed without eigenfunctions"):
+        values_only.diff(1, "eigenfunction")
 
 
 def test_single_observation_segment_degenerates_gracefully():
@@ -293,7 +318,7 @@ def test_empty_prefixes_give_zero_eigenpairs(mode, weight):
     paths = sequential_eigensystem_paths(SplitSample.at_index(values, 1, mode=mode), 1, NU)
     assert not paths.values1[:-1].any() and not paths.functions1[:-1].any()
     # the distance to a zero function is the squared norm of the other one
-    path = eigenfunction_diff_path(paths, 1)
+    path = paths.diff(1, "eigenfunction")
     np.testing.assert_allclose(path.values[:-1], np.ones(19), rtol=1e-12)
     assert paths.weight == weight
 
@@ -379,8 +404,8 @@ def eigen_statistics(values, k, j, mode="coeff"):
     """Sequential eigenvalues and both difference paths with their normalizers."""
     split = SplitSample.at_index(values, k, mode=mode)
     paths = sequential_eigensystem_paths(split, j, NU)
-    val = eigenvalue_diff_path(paths, j)
-    fun = eigenfunction_diff_path(paths, j)
+    val = paths.diff(j, "eigenvalue")
+    fun = paths.diff(j, "eigenfunction")
     return {
         "values1": paths.values1,
         "values2": paths.values2,
