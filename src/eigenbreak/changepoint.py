@@ -152,6 +152,8 @@ def search_range(n: int, epsilon: float) -> tuple[int, int]:
         raise ValueError(f"boundary trim epsilon must lie in [0, 0.5), got {epsilon}")
     lo = max(1, int(np.ceil(n * epsilon - FLOOR_GUARD)))
     hi = min(n - 1, int(np.floor(n * (1.0 - epsilon) + FLOOR_GUARD)))
+    if lo > hi:
+        raise ValueError(f"boundary trim epsilon={epsilon} leaves no split of N={n} observations")
     return lo, hi
 
 

@@ -23,8 +23,6 @@ from .covkern import SplitSample
 from .datagen import DGPSpec, generate
 from .selfnorm import (
     DEFAULT_K,
-    DEFAULT_PIVOT_REPLICATES,
-    DEFAULT_PIVOT_SEED,
     PATH_KINDS,
     NuMeasure,
     cached_pivot,
@@ -58,7 +56,10 @@ def angle_for_distance_sq(dist_sq: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full recipe of one rejection-probability experiment."""
+    """Full recipe of one rejection-probability experiment.
+
+    Every cell decides from the default pivot of the grid ``K``.
+    """
 
     test_kind: str
     j: int
@@ -76,8 +77,6 @@ class ExperimentConfig:
     dependence: str = "iid"
     tau: tuple[float, ...] | None = None
     center: bool = False
-    pivot_replicates: int = DEFAULT_PIVOT_REPLICATES
-    pivot_seed: int = DEFAULT_PIVOT_SEED
 
     def __post_init__(self):
         if self.test_kind not in PATH_KINDS:
@@ -92,18 +91,16 @@ class ExperimentConfig:
             raise ValueError(f"need at least one replicate, got {self.replicates}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"test level must lie in (0,1), got {self.alpha}")
-        if self.pivot_replicates < 1:
-            raise ValueError(f"pivot_replicates must be at least 1, got {self.pivot_replicates}")
         object.__setattr__(self, "magnitudes", tuple(float(m) for m in self.magnitudes))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.tau is not None:
             object.__setattr__(self, "tau", tuple(float(t) for t in self.tau))
         # the rules of the data model, the measure and the trim live with them
         NuMeasure(self.K)
-        search_range(min(self.n_list), self.epsilon)
         for n_obs in self.n_list:
             for magnitude in self.magnitudes:
                 self.spec(n_obs, magnitude)
+            search_range(n_obs, self.epsilon)
         if not 1 <= self.j <= self.T:
             raise ValueError(f"eigen index j must lie in 1..T={self.T}, got {self.j}")
 
@@ -210,7 +207,7 @@ def run_replicate(config: ExperimentConfig, n_obs: int, magnitude: float,
         nu = NuMeasure(config.K)
         path = diff_path(split, config.j, nu, config.test_kind, center=config.center)
         normalizer = self_normalizer(path, nu)
-        pivot = cached_pivot(config.K, config.pivot_replicates, config.pivot_seed)
+        pivot = cached_pivot(config.K)
         result = decide(path, normalizer, config.delta, pivot, config.alpha)
         return result.decision == "reject", estimate.theta_hat
     except Exception as exc:
@@ -251,7 +248,7 @@ def cell_outcomes(config: ExperimentConfig, n_obs: int, magnitude: float,
     if n_workers == 1 or len(chunks) == 1:
         results = [_run_chunk(chunk) for chunk in chunks]
     else:
-        pivot = cached_pivot(config.K, config.pivot_replicates, config.pivot_seed)
+        pivot = cached_pivot(config.K)
         with ProcessPoolExecutor(max_workers=n_workers, initializer=seed_pivot_cache,
                                  initargs=(pivot,)) as pool:
             results = list(pool.map(_run_chunk, chunks))

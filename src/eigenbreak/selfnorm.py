@@ -44,7 +44,6 @@ DEGENERATE_NORMALIZER = 1e-12
 
 _PIVOT_CHUNK = 100_000
 _CACHE_GRID = 10_000
-_PIVOT_CACHE_SIZE = 8
 
 #: kernels of fewer dimensions keep every prefix in the R x R stack: there
 #: one more stacked matrix costs 45-60 us, no more than a separate m x m
@@ -121,28 +120,32 @@ class TestResult:
 class PivotDistribution:
     """Sorted Monte-Carlo sample of the limiting pivot statistic.
 
-    The sample is a read-only copy of the one given, so the quantiles
-    memoized per probability cannot go stale.
+    The sample holds 1 to R finite, non-decreasing values: the R draws on
+    the grid of ``NuMeasure(K)`` or quantiles of them.  It is a read-only
+    copy of the one given, so the quantiles memoized per probability
+    cannot go stale.
     """
 
     K: int
     sample: np.ndarray
     seed: int
-    r_total: int
+    R: int
     _quantiles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        NuMeasure(self.K)
         sample = np.array(self.sample)
+        if sample.ndim != 1 or not 1 <= sample.size <= self.R:
+            raise ValueError(f"a pivot sample holds 1 to R={self.R} values in a vector, "
+                             f"got shape {sample.shape}")
+        if not np.isfinite(sample).all() or (sample[1:] < sample[:-1]).any():
+            raise ValueError("pivot sample values must be finite and non-decreasing")
         sample.flags.writeable = False
         object.__setattr__(self, "sample", sample)
 
     def __reduce__(self):
         # rebuild through __init__, so an unpickled sample is read-only too
-        return (type(self), (self.K, self.sample, self.seed, self.r_total))
-
-    @property
-    def R(self) -> int:
-        return self.r_total
+        return (type(self), (self.K, self.sample, self.seed, self.R))
 
     def quantile(self, p: float) -> float:
         value = self._quantiles.get(p)
@@ -161,7 +164,7 @@ class PivotDistribution:
         """
         grid = min(self.sample.size, _CACHE_GRID)
         values = np.quantile(self.sample, (np.arange(grid) + 0.5) / grid)
-        return PivotDistribution(K=self.K, sample=values, seed=self.seed, r_total=self.r_total)
+        return PivotDistribution(K=self.K, sample=values, seed=self.seed, R=self.R)
 
     def save(self, path) -> None:
         """Write a plain-text quantile summary keyed by (K, R, seed)."""
@@ -169,7 +172,7 @@ class PivotDistribution:
         probs = (np.arange(values.size) + 0.5) / values.size
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("# eigenbreak pivot quantile cache\n")
-            fh.write(f"# K={self.K} R={self.r_total} seed={self.seed}\n")
+            fh.write(f"# K={self.K} R={self.R} seed={self.seed}\n")
             fh.write("probability,quantile\n")
             for p, v in zip(probs, values):
                 fh.write(f"{float(p)!r},{float(v)!r}\n")
@@ -190,9 +193,12 @@ class PivotDistribution:
                 start, line = fh.tell(), fh.readline()
             fh.seek(start)
             values = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1) if line else np.empty(0)
-        if not {"K", "R", "seed"} <= meta.keys() or not values.size:
+        if not {"K", "R", "seed"} <= meta.keys():
             raise ValueError(f"{path} is not a pivot quantile cache")
-        return cls(K=meta["K"], sample=values, seed=meta["seed"], r_total=meta["R"])
+        try:
+            return cls(K=meta["K"], sample=values, seed=meta["seed"], R=meta["R"])
+        except ValueError as exc:
+            raise ValueError(f"{path} is not a pivot quantile cache: {exc}") from None
 
 
 def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
@@ -219,11 +225,9 @@ def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
     -------
     PivotDistribution
     """
-    if K < 2:
-        raise ValueError(f"the pivot needs K >= 2, got {K}")
+    lams = NuMeasure(K).points
     if R < 1:
         raise ValueError(f"the pivot sample needs R >= 1 replicates, got {R}")
-    lams = np.arange(1, K) / K
     out = np.empty(R)
     pos = 0
     chunk_idx = 0
@@ -236,47 +240,45 @@ def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
         np.cumsum(motion, axis=1, out=motion)
         end = motion[:, -1].copy()
         bridge = motion[:, :-1]
-        bridge -= lams * end[:, None]
+        for col, lam in enumerate(lams):  # no (n, K - 1) temporary beside the buffer
+            bridge[:, col] -= lam * end
         np.square(bridge, out=bridge)
         bridge *= lams**2
         out[pos : pos + n] = end / np.sqrt(np.mean(bridge, axis=1))
+        del motion, bridge  # unbound before the next chunk's buffer is drawn
         pos += n
         chunk_idx += 1
     out.sort()
-    return PivotDistribution(K=K, sample=out, seed=seed, r_total=R)
+    return PivotDistribution(K=K, sample=out, seed=seed, R=R)
 
 
-#: process-local pivots keyed by (K, R, seed), oldest evicted first
-_PIVOTS: dict[tuple[int, int, int], PivotDistribution] = {}
+#: the default pivot of the grid K this process last asked for
+_PIVOT: PivotDistribution | None = None
 
 
 def seed_pivot_cache(pivot: PivotDistribution) -> None:
-    """Serve a simulated pivot from this process's cache under its (K, R, seed).
+    """Hold ``pivot`` as this process's default pivot of its grid K.
 
     Pool workers run this as their initializer with the parent's pivot, so
-    no worker simulates one.  Only a full simulated sample is accepted: a
-    quantile summary loaded from a cache file must not stand in for it.
+    no worker simulates one.  Only the full default sample is accepted:
+    neither a quantile summary nor a sample of another R or seed may stand
+    in for it.
     """
-    if pivot.sample.size != pivot.R:
+    global _PIVOT
+    if (pivot.sample.size, pivot.R, pivot.seed) != (
+            DEFAULT_PIVOT_REPLICATES, DEFAULT_PIVOT_REPLICATES, DEFAULT_PIVOT_SEED):
         raise ValueError(
-            f"only a full simulated pivot can be cached; this one holds "
-            f"{pivot.sample.size} of R={pivot.R} draws"
+            f"only the full default pivot can be cached; this one holds "
+            f"{pivot.sample.size} of R={pivot.R} draws with seed {pivot.seed}"
         )
-    key = (pivot.K, pivot.R, pivot.seed)
-    _PIVOTS.pop(key, None)
-    if len(_PIVOTS) >= _PIVOT_CACHE_SIZE:
-        del _PIVOTS[next(iter(_PIVOTS))]
-    _PIVOTS[key] = pivot
+    _PIVOT = pivot
 
 
-def cached_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
-                 seed: int = DEFAULT_PIVOT_SEED) -> PivotDistribution:
-    """Process-local pivot sample, simulated on the first request for (K, R, seed)."""
-    pivot = _PIVOTS.get((K, R, seed))
-    if pivot is None:
-        pivot = simulate_pivot(K, R, seed)
-        seed_pivot_cache(pivot)
-    return pivot
+def cached_pivot(K: int) -> PivotDistribution:
+    """The default pivot of grid K, simulated unless this process holds it."""
+    if _PIVOT is None or _PIVOT.K != K:
+        seed_pivot_cache(simulate_pivot(K))
+    return _PIVOT
 
 
 @dataclass(frozen=True)
@@ -461,8 +463,6 @@ def decide(path: DiffPath, normalizer: float, delta: float,
         raise ValueError(f"relevance threshold must be nonnegative, got {delta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"test level must lie in (0,1), got {alpha}")
-    if pivot.sample.size == 0:
-        raise ValueError("pivot sample is empty")
     statistic = path.statistic
     warnings = list(path.warnings)
     quantile = pivot.quantile(1.0 - alpha)

@@ -201,6 +201,12 @@ def test_search_range_guard():
         search_range(10, 0.5)
 
 
+def test_search_range_refuses_a_trim_that_leaves_no_split():
+    assert search_range(8, 0.49) == (4, 4)
+    with pytest.raises(ValueError, match=r"epsilon=0\.49 leaves no split of N=9 observations"):
+        search_range(9, 0.49)
+
+
 def test_estimate_validation():
     with pytest.raises(ValueError, match="at least 4"):
         estimate_changepoint(np.ones((3, 2)), 0.05)

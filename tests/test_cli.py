@@ -258,6 +258,8 @@ _BAD_EXPERIMENT_FIELDS = [
     ({"epsilon": "0.1"}, "'epsilon'"),
     ({"seed": "x"}, "'seed'"),
     ({"pivot_replicates": 0}, "pivot_replicates"),
+    # decided from a 3-draw pivot and exited 0
+    ({"pivot_replicates": 3}, "'pivot_replicates'"),
     ({"epsilons": [True]}, "'epsilons'"),
     ({"epsilons": [0.05, 0.7]}, "boundary trim epsilon"),
     # exited 1 with a message that named nothing
@@ -521,22 +523,6 @@ def ten_year_csv(tmp_path_factory):
     return csv_path, cache
 
 
-def test_analyze_rejects_nonpositive_divisors(tmp_path, capsys, ten_year_csv):
-    csv_path, cache = ten_year_csv
-    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--divisors", "0,100",
-               "--quantile-cache", str(cache), "--out-dir", str(tmp_path / "out")])
-    assert rc == 1
-    assert "divisors must be positive" in capsys.readouterr().err
-
-
-def test_analyze_rejects_empty_alphas_flag(tmp_path, capsys, ten_year_csv):
-    csv_path, cache = ten_year_csv
-    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--alphas", ",",
-               "--quantile-cache", str(cache), "--out-dir", str(tmp_path / "out")])
-    assert rc == 1
-    assert "'alphas' must not be empty" in capsys.readouterr().err
-
-
 def test_analyze_rejects_empty_alphas_config(tmp_path, capsys, ten_year_csv):
     csv_path, cache = ten_year_csv
     cfg = tmp_path / "analyze.json"
@@ -584,6 +570,8 @@ def test_analyze_refuses_bad_settings_before_ingestion(tmp_path, capsys, monkeyp
     (["--min-days", "3"], "min_days"),  # fewer than the T=5 readings a fit needs
     (["--angles", ","], "'angles' must not be empty"),
     (["--divisors", ","], "'divisors' must not be empty"),
+    (["--divisors", "0,100"], "divisors must be positive"),
+    (["--alphas", ""], "'alphas' must not be empty"),
 ])
 def test_analyze_refuses_bad_settings_before_the_pivot(tmp_path, capsys, monkeypatch,
                                                        ten_year_csv, flags, message):
@@ -591,7 +579,7 @@ def test_analyze_refuses_bad_settings_before_the_pivot(tmp_path, capsys, monkeyp
         raise AssertionError("a pivot was simulated")
 
     # an empty process cache: a resolved pivot would have to be simulated
-    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    monkeypatch.setattr(selfnorm, "_PIVOT", None)
     monkeypatch.setattr(selfnorm, "simulate_pivot", fail)
     csv_path, _ = ten_year_csv
     cache = tmp_path / "fresh.csv"
@@ -637,7 +625,7 @@ def test_analyze_refuses_a_missing_quantile_cache(tmp_path, capsys, monkeypatch,
     def fail(*args):
         raise AssertionError("a pivot was simulated")
 
-    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    monkeypatch.setattr(selfnorm, "_PIVOT", None)
     monkeypatch.setattr(selfnorm, "simulate_pivot", fail)
     cache = tmp_path / "missing.csv"
     rc = main(["analyze", "--csv", str(ten_year_csv[0]), "--T", "5", "--j-val", "5",
@@ -672,6 +660,38 @@ def test_analyze_refuses_a_coarse_quantile_cache(tmp_path, capsys, ten_year_csv,
     assert not out_dir.exists()
 
 
+def _nan_quantile(lines):
+    mid = len(lines) // 2
+    return [*lines[:mid], lines[mid].partition(",")[0] + ",nan\n", *lines[mid + 1:]]
+
+
+@pytest.mark.parametrize("corrupt", [
+    _nan_quantile,  # decided every cell TRUE from a nan quantile
+    lambda lines: lines[:3] + lines[3:][::-1],  # read p-values from unsorted quantiles
+], ids=["nan", "reversed"])
+def test_analyze_refuses_a_corrupt_quantile_cache(tmp_path, capsys, ten_year_csv, corrupt):
+    _, cache = ten_year_csv
+    bad = tmp_path / "corrupt.csv"
+    bad.write_text("".join(corrupt(cache.read_text().splitlines(keepends=True))))
+    out_dir = tmp_path / "out"
+    rc = main(["analyze", "--csv", str(ten_year_csv[0]), "--T", "5", "--j-val", "5",
+               "--quantile-cache", str(bad), "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert f"{bad} is not a pivot quantile cache" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_analyze_refuses_a_trim_that_leaves_no_split(tmp_path, capsys, ten_year_csv):
+    csv_path = tmp_path / "nine.csv"
+    write_daily_csv(generate(DGPSpec(N=9, T=5, seed=1)), 1980, csv_path)
+    out_dir = tmp_path / "out"
+    rc = main(["analyze", "--csv", str(csv_path), "--T", "5", "--j-val", "5", "--epsilon", "0.49",
+               "--quantile-cache", str(ten_year_csv[1]), "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert "epsilon=0.49 leaves no split of N=9 observations" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def _write_short_csv(path, csv_path):
     write_daily_csv(generate(DGPSpec(N=5, T=5, seed=2)), 1900, path)
 
@@ -690,7 +710,7 @@ def test_analyze_reads_the_csv_before_writing_a_cache(tmp_path, capsys, monkeypa
     def fail(*args):
         raise AssertionError("a pivot was simulated")
 
-    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    monkeypatch.setattr(selfnorm, "_PIVOT", None)
     monkeypatch.setattr(selfnorm, "simulate_pivot", fail)
     csv_path = tmp_path / "data.csv"
     if write is not None:

@@ -23,7 +23,6 @@ SMALL = dict(
     n_list=(60,),
     replicates=24,
     seed=5,
-    pivot_replicates=20_000,
 )
 
 
@@ -48,7 +47,7 @@ def test_config_validation():
     ({"j": 0}, "eigen index j"),
     ({"K": 1}, "K >= 2"),
     ({"epsilon": 0.5}, "boundary trim epsilon"),
-    ({"pivot_replicates": 0}, "pivot_replicates"),
+    ({"n_list": (8, 9), "epsilon": 0.49}, "leaves no split"),
 ])
 def test_config_refuses_every_invalid_cell(field, message):
     # the data model's, the measure's and the trim's rules apply at
@@ -172,8 +171,9 @@ def test_table_and_sweep_bytes_are_golden(tmp_path):
         eps_table.to_csv(tmp_path / f"sweep_{eps}.csv")
     assert sha256(tmp_path / "table.csv") == (
         "f1801946670ee6ac3547d8ab60f28e0ab208d04b58d72ae50226537d78a68778")
+    # re-recorded when the config echo lost its two pivot fields: rows unchanged
     assert sha256(tmp_path / "table.json") == (
-        "610da60d92c0e06c381262cae749fa208284edfdbce1ec81b7df1a25e8d9e01a")
+        "3cd44244f7d67a54e924bea237f669ee6a7b96b9e6eb0feea78918487ca83c14")
     assert sha256(tmp_path / "histograms.csv") == (
         "e7b6aaff02087e26be10894a2d4e07814c2044038db4a7a7cc8e3fbbbb9ffda4")
     assert sha256(tmp_path / "sweep_0.0.csv") == (
@@ -193,7 +193,7 @@ def test_pool_workers_reuse_the_parent_pivot(tmp_path, monkeypatch):
         return simulate(*args, **kwargs)
 
     monkeypatch.setattr(selfnorm, "simulate_pivot", counting_simulate)
-    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
+    monkeypatch.setattr(selfnorm, "_PIVOT", None)
     # two chunks per cell, so each cell starts a pool
     monkeypatch.setattr(harness, "_CHUNK", 4)
     config = ExperimentConfig(**{**SMALL, "magnitudes": (0.1, 0.4), "replicates": 8})

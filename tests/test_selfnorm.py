@@ -17,6 +17,8 @@ from eigenbreak.eigensys import (
 )
 from eigenbreak.funcspace import fourier_basis
 from eigenbreak.selfnorm import (
+    DEFAULT_PIVOT_REPLICATES,
+    DEFAULT_PIVOT_SEED,
     DiffPath,
     NuMeasure,
     PivotDistribution,
@@ -188,14 +190,15 @@ def test_pivot_is_reproducible_and_sorted():
 
 
 def test_pivot_simulation_memory_is_bounded():
-    # each 100k-draw chunk is drawn into one (n, K) buffer of 16 MB at K=20
+    # each 100k-draw chunk is drawn into one (n, K) buffer of 16 MB at K=20,
+    # unbound before the next one is drawn
     tracemalloc.start()
     try:
         simulate_pivot(20)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 2**20
+    assert peak <= 30 * 2**20
 
 
 def test_pivot_median_is_near_zero():
@@ -357,7 +360,7 @@ def test_pivot_with_filled_memo_survives_pickle(pivot):
 def test_pivot_sample_is_read_only(tmp_path, pivot):
     pivot.save(tmp_path / "pivot.csv")
     given_sample = np.sort(np.random.default_rng(4).standard_normal(100))
-    direct = PivotDistribution(K=20, sample=given_sample, seed=0, r_total=100)
+    direct = PivotDistribution(K=20, sample=given_sample, seed=0, R=100)
     for dist in (pivot, PivotDistribution.load(tmp_path / "pivot.csv"), direct):
         with pytest.raises(ValueError, match="read-only"):
             dist.sample[0] = 0.0
@@ -369,19 +372,43 @@ def test_pivot_sample_is_read_only(tmp_path, pivot):
 
 
 def test_one_process_cache_serves_every_pivot(monkeypatch):
-    monkeypatch.setattr(selfnorm, "_PIVOTS", {})
-    pivot = cached_pivot(3, 2_000, 9)
-    assert cached_pivot(3, 2_000, 9) is pivot
-    assert cached_pivot(3, 2_000, 10) is not pivot
-    own = simulate_pivot(4, 1_000, 1)
+    monkeypatch.setattr(selfnorm, "_PIVOT", None)
+    pivot = cached_pivot(3)
+    assert (pivot.K, pivot.R, pivot.seed) == (3, DEFAULT_PIVOT_REPLICATES, DEFAULT_PIVOT_SEED)
+    assert cached_pivot(3) is pivot
+    own = simulate_pivot(4)
     seed_pivot_cache(own)
-    assert cached_pivot(4, 1_000, 1) is own
+    assert cached_pivot(4) is own
+    assert cached_pivot(3) is not pivot
+    with pytest.raises(ValueError, match="full default pivot"):
+        seed_pivot_cache(simulate_pivot(4, 1_000, DEFAULT_PIVOT_SEED))
+    with pytest.raises(ValueError, match="full default pivot"):
+        seed_pivot_cache(simulate_pivot(4, DEFAULT_PIVOT_REPLICATES, 1))
 
 
 def test_pivot_cache_refuses_a_quantile_summary(tmp_path, pivot):
     pivot.save(tmp_path / "pivot.csv")
-    with pytest.raises(ValueError, match="full simulated pivot"):
+    with pytest.raises(ValueError, match="full default pivot"):
         seed_pivot_cache(PivotDistribution.load(tmp_path / "pivot.csv"))
+
+
+_SORTED = [-1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("K, sample, R, message", [
+    (20, [-1.0, np.nan, 1.0], 3, "finite"),
+    (20, [-1.0, 0.0, np.inf], 3, "finite"),
+    (20, [-np.inf, 0.0, 1.0], 3, "finite"),
+    (20, [1.0, 0.0, -1.0], 3, "non-decreasing"),
+    (20, [0.0, 1.0, 0.5], 3, "non-decreasing"),
+    (20, [], 3, "1 to R=3 values"),
+    (20, [_SORTED, _SORTED], 6, "in a vector"),
+    (20, _SORTED, 2, "1 to R=2 values"),
+    (1, _SORTED, 3, "K >= 2"),
+], ids=["nan", "inf", "-inf", "reversed", "unsorted", "empty", "2-d", "more-than-R", "K=1"])
+def test_pivot_refuses_a_sample_it_cannot_decide_from(K, sample, R, message):
+    with pytest.raises(ValueError, match=message):
+        PivotDistribution(K=K, sample=np.array(sample), seed=0, R=R)
 
 
 @st.composite
