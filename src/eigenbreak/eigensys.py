@@ -19,13 +19,20 @@ __all__ = [
     "eigendecompose",
     "operator_eigh",
     "gram_eigh",
+    "shifted_eigh",
+    "unidentified",
     "aligned_distance_sq",
     "gap_warning",
 ]
 
 #: relative eigenvalue gap below which neighbouring eigenpairs are treated
-#: as numerically degenerate and downstream tests attach a warning
+#: as numerically degenerate and downstream tests attach a warning; an
+#: eigenvalue this close to zero leaves its eigenfunction unidentified
 DEGENERACY_RTOL = 1e-10
+
+#: machine epsilons of the leading eigenvalue added to each shift, so that
+#: M - sigma I is not exactly singular when eigvalsh returns sigma exactly
+SHIFT_EPS = 1024
 
 
 def gap_warning(eigenvalues, j: int) -> str | None:
@@ -105,6 +112,50 @@ def gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int,
         # unit Euclidean rows first, then 1/sqrt(w) for unit quadrature norm
         norms = np.sqrt(weight) * np.linalg.norm(functions, axis=1, keepdims=True)
         np.divide(functions, norms, out=functions, where=norms > 0.0)
+    return vals * weight, functions
+
+
+def unidentified(values: np.ndarray) -> np.ndarray:
+    """Mask of the pairs whose eigenvalue is at round-off.
+
+    ``values`` descend along the last axis.  An eigenvalue at most
+    DEGENERACY_RTOL of the leading one (or any of a zero spectrum) cannot
+    be told from zero: a kernel of m rows has rank at most m, and past it
+    the eigenvector is an arbitrary null-space vector.
+    """
+    return values <= DEGENERACY_RTOL * values[..., :1]
+
+
+def shifted_eigh(matrices: np.ndarray, weight: float, p: int, q: int):
+    """Leading p eigenvalues of a stack by ``eigvalsh``, leading q <= p eigenfunctions by solves.
+
+    ``matrices`` is a (c, R, R) stack.  Each eigenfunction comes from two
+    steps of inverse iteration, batched over the stack and the q indices:
+    ``solve`` with M - sigma I, sigma the ``eigvalsh`` value plus SHIFT_EPS
+    machine epsilons of the leading eigenvalue.  Two steps shrink every
+    other eigenvector's share by (shift error / gap)^2.  Pairs that are
+    :func:`unidentified` are not solved for and keep a zero function.
+    Returns ``(values, functions)`` of shapes (c, p) and (c, q, R), on the
+    scales of :func:`operator_eigh`, with arbitrary signs.
+    """
+    vals = np.linalg.eigvalsh(matrices)[..., ::-1][..., :p]
+    c, r, _ = matrices.shape
+    functions = np.zeros((c, q, r))
+    at, j = np.nonzero(~unidentified(vals[:, :q]))
+    if at.size:
+        shift = vals[at, j] + SHIFT_EPS * np.finfo(float).eps * vals[at, 0]
+        system = matrices[at]
+        diagonal = np.arange(r)
+        system[:, diagonal, diagonal] -= shift[:, None]
+        # a fixed irregular start: a constant vector has no share in
+        # contrasts such as (1, -1, 0, ...), which eigenvectors can be
+        start = np.cos(np.arange(1, r + 1) * (1.0 + np.sqrt(5.0)))
+        x = np.broadcast_to(start[:, None], (at.size, r, 1))
+        for _ in range(2):
+            x = np.linalg.solve(system, x)
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+        # unit Euclidean vectors; unit quadrature norm needs 1/sqrt(w)
+        functions[at, j] = x[..., 0] / np.sqrt(weight)
     return vals * weight, functions
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covkern import SplitSample, mode_weight, prefix_count, prefix_moments
-from .eigensys import aligned_distance_sq, gap_warning, gram_eigh, operator_eigh
+from .eigensys import (aligned_distance_sq, gap_warning, gram_eigh, operator_eigh, shifted_eigh,
+                       unidentified)
 
 __all__ = [
     "NuMeasure",
@@ -48,7 +49,10 @@ _CACHE_GRID = 10_000
 #: kernels of fewer dimensions keep every prefix in the R x R stack: there
 #: one more stacked matrix costs 45-60 us, no more than a separate m x m
 #: Gram eigh with numpy's ~25 us fixed cost per call (1 BLAS thread, R=21),
-#: while from R=31 on the Gram form of m <= 3R/4 rows takes half or less
+#: while from R=31 on the Gram form of m <= 3R/4 rows takes half or less.
+#: The stack of a smaller kernel takes eigvalsh plus shifted solves (20
+#: prefixes of R=21: 0.4 + 2 x 0.1 ms against 1.1 ms for eigh); from this
+#: R on eigh stays, as the solves lost on Gram blocks of rank <= 21
 _GRAM_MIN_DIM = 32
 
 
@@ -285,9 +289,11 @@ def cached_pivot(K: int) -> PivotDistribution:
 class EigenPaths:
     """Sequential eigensystems of both split segments along the lambda grid.
 
-    Rows of ``values*`` hold the leading eigenvalues per lambda; rows of
-    ``functions*`` hold the matching eigenfunctions (zero rows where the
-    lambda-prefix of a segment is empty and the kernel degenerates).
+    Rows of ``values*`` hold the leading p_max + 1 (at most R) eigenvalues
+    per lambda; rows of ``functions*`` hold the first p_max matching
+    eigenfunctions, the ones a test reads (zero rows where the
+    lambda-prefix of a segment is empty and the kernel degenerates, or
+    where the eigenvalue is at round-off and the function unidentified).
     """
 
     lambdas: np.ndarray
@@ -326,27 +332,34 @@ class EigenPaths:
                         warnings=tuple(notes))
 
 
-def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p: int, weight: float,
+def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p_max: int, weight: float,
                    center: bool, with_functions: bool):
-    """Leading p eigenpairs of every lambda-prefix kernel of one segment.
+    """Leading eigenpairs of every lambda-prefix kernel of one segment.
 
-    A prefix of m rows with p <= m < R has rank below R: when R is at least
-    _GRAM_MIN_DIM it is decomposed through the leading m x m block of one
-    segment Gram matrix.  Longer prefixes, shorter ones whose trailing
-    pairs are null-space vectors and every prefix of a smaller kernel go
-    through the R x R stack of prefix kernels; empty prefixes stay zero.
+    Returns p = min(R, p_max + 1) eigenvalues and, with functions, the
+    p_max eigenfunctions a test reads per prefix.  A kernel of fewer than
+    _GRAM_MIN_DIM dimensions keeps every prefix in one R x R stack and
+    takes ``shifted_eigh``: ``eigvalsh`` plus shifted solves.  From that R
+    on, ``eigh`` runs: a prefix of m rows with p <= m < R goes through the
+    leading m x m block of one segment Gram matrix, and the other prefixes
+    through the stack.  Empty prefixes and unidentified pairs (eigenvalue
+    at round-off) get zero functions.
     """
     n, r = values.shape
     if center:
         values = values - values.mean(axis=0)
     counts = np.array([prefix_count(n, lam) for lam in lambdas])
+    p = min(r, p_max + 1)
     vals = np.zeros((counts.size, p))
-    funcs = np.zeros((counts.size, p, r)) if with_functions else None
+    funcs = np.zeros((counts.size, p_max, r)) if with_functions else None
     # the counts do not decrease, so the Gram-form prefixes are one run
     dual = (counts >= p) & (counts < r) & (r >= _GRAM_MIN_DIM)
     stacked = np.flatnonzero((counts > 0) & ~dual)
-    pairs = [(stacked, operator_eigh(prefix_moments(values, counts[stacked]), weight, p,
-                                     with_functions))]
+    stack = prefix_moments(values, counts[stacked])
+    if r < _GRAM_MIN_DIM:
+        pairs = [(stacked, shifted_eigh(stack, weight, p, p_max if with_functions else 0))]
+    else:
+        pairs = [(stacked, operator_eigh(stack, weight, p, with_functions))]
     if dual.any():
         head = values[: counts[dual][-1]]
         gram = head @ head.T
@@ -355,7 +368,9 @@ def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p: int, weight: floa
     for at, (v, f) in pairs:
         vals[at] = v
         if with_functions:
-            funcs[at] = f
+            funcs[at] = f[..., :p_max, :]
+    if with_functions:
+        funcs[unidentified(vals)[:, :p_max]] = 0.0
     return vals, funcs
 
 
@@ -376,9 +391,8 @@ def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
         raise ValueError(f"eigen index range must lie in [1, {r}], got {p_max}")
     weight = mode_weight(split.mode, r)
     lambdas = np.append(nu.points, 1.0)
-    p = min(r, p_max + 1)
-    vals1, funcs1 = _segment_paths(split.pre, lambdas, p, weight, center, with_functions)
-    vals2, funcs2 = _segment_paths(split.post, lambdas, p, weight, center, with_functions)
+    vals1, funcs1 = _segment_paths(split.pre, lambdas, p_max, weight, center, with_functions)
+    vals2, funcs2 = _segment_paths(split.post, lambdas, p_max, weight, center, with_functions)
     return EigenPaths(
         lambdas=lambdas,
         values1=vals1,

@@ -543,7 +543,9 @@ def assert_paths_match_stack(split, p_max, nu, center, with_functions):
 @st.composite
 def short_segments(draw):
     """A split sample whose sub-samples run from below p to at least R rows."""
-    r = draw(st.integers(selfnorm._GRAM_MIN_DIM - 1, selfnorm._GRAM_MIN_DIM + 8))
+    # both regimes: shifted solves below _GRAM_MIN_DIM, eigh and Gram form from it on
+    r = draw(st.one_of(st.integers(3, selfnorm._GRAM_MIN_DIM - 1),
+                       st.integers(selfnorm._GRAM_MIN_DIM, selfnorm._GRAM_MIN_DIM + 8)))
     p_max = draw(st.integers(1, r - 2))
     n1, n2 = (draw(st.integers(1, 3 * r)) for _ in range(2))
     mode = draw(st.sampled_from(["coeff", "grid"]))
@@ -558,12 +560,18 @@ def test_gram_form_agrees_with_the_kernel_stack(sample, center, with_functions):
     assert_paths_match_stack(split, p_max, NU, center, with_functions)
 
 
-@pytest.mark.parametrize("mode", ["coeff", "grid"])
+@pytest.mark.parametrize("mode, r, axes", [
+    ("coeff", 36, False), ("grid", 36, False), ("coeff", 21, False), ("grid", 21, False),
+    ("coeff", 21, True), ("grid", 21, True),
+], ids=["coeff", "grid", "coeff-R21", "grid-R21", "coeff-axes-R21", "grid-axes-R21"])
 @pytest.mark.parametrize("center", [False, True])
-def test_gram_form_of_repeated_rows(mode, center):
+def test_gram_form_of_repeated_rows(mode, r, axes, center):
     # each row twice: a prefix of m rows has rank ceil(m/2), so its Gram is
-    # rank-deficient and the trailing kept pairs are null-space vectors
-    rows = np.random.default_rng(23).standard_normal((20, 36))
+    # rank-deficient and the trailing kept pairs are null-space vectors.
+    # Integer rows on distinct coordinate axes give diagonal kernels, whose
+    # eigenvalues eigvalsh returns exactly: an unshifted solve is singular.
+    rows = (np.eye(20, r) * np.arange(1.0, 21.0)[:, None] if axes
+            else np.random.default_rng(23).standard_normal((20, r)))
     values = np.repeat(rows, 2, axis=0)
     split = SplitSample.at_index(values, 24, mode=mode)
     for p_max in (1, 3, 6):
@@ -572,28 +580,50 @@ def test_gram_form_of_repeated_rows(mode, center):
         assert np.all(np.isfinite(paths.functions1)) and np.all(np.isfinite(paths.functions2))
 
 
+@pytest.mark.parametrize("r", [21, 41])
+def test_pairs_past_a_prefix_rank_get_zero_functions(r):
+    # a prefix of m rows has rank m, and eigh returns an arbitrary null-space
+    # vector for each pair past it; in both regimes such a pair has a zero
+    # function; the j = 5 path then compares two zero functions at lambda =
+    # 0.05, where the segments' prefixes hold 4 and 1 rows, and a unit
+    # function with a zero one at 0.10 and 0.15
+    values = np.random.default_rng(5).standard_normal((123, r))
+    paths = sequential_eigensystem_paths(SplitSample.at_index(values, 92), 5, NU, center=True)
+    for n, funcs in ((92, paths.functions1), (31, paths.functions2)):
+        counts = np.array([prefix_count(n, lam) for lam in paths.lambdas])
+        norms = np.sum(funcs**2, axis=2)
+        np.testing.assert_allclose(norms, np.arange(5) < counts[:, None], rtol=1e-12, atol=0.0)
+    path = paths.diff(5, "eigenfunction")
+    np.testing.assert_allclose(path.values[:3], [0.0, 1.0, 1.0], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("r, m, shapes", [
-    (32, 2, [(2, 32, 32)]),             # m = p - 1: the stack
-    (32, 3, [(1, 32, 32), (3, 3)]),     # m = p: the Gram form
-    (32, 31, [(1, 32, 32), (31, 31)]),  # m = R - 1
-    (32, 32, [(2, 32, 32)]),            # m = R: the stack
-    (31, 3, [(2, 31, 31)]),             # R below _GRAM_MIN_DIM: the stack
+    (32, 2, [("eigh", (2, 32, 32))]),                        # m = p - 1: the stack
+    (32, 3, [("eigh", (1, 32, 32)), ("eigh", (3, 3))]),      # m = p: the Gram form
+    (32, 31, [("eigh", (1, 32, 32)), ("eigh", (31, 31))]),   # m = R - 1
+    (32, 32, [("eigh", (2, 32, 32))]),                       # m = R: the stack
+    # R below _GRAM_MIN_DIM: eigvalsh on the stack, then two shifted solves
+    # for the p_max = 2 tested pairs of both prefixes
+    (31, 3, [("eigvalsh", (2, 31, 31)), ("solve", (4, 31, 31)), ("solve", (4, 31, 31))]),
 ])
 @pytest.mark.parametrize("with_functions", [False, True])
 def test_gram_form_boundaries(monkeypatch, r, m, shapes, with_functions):
-    # p = 3; the prefixes hold m and all 64 rows of the segment
+    # p_max = 2, so p = 3; the prefixes hold m and all 64 rows of the segment
     seen = []
-    for name in ("eigh", "eigvalsh"):
-        def record(a, *args, _fn=getattr(np.linalg, name), **kwargs):
-            seen.append(np.shape(a))
+    for name in ("eigh", "eigvalsh", "solve"):
+        def record(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append((_name, np.shape(a)))
             return _fn(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, record)
     values = np.random.default_rng(m).standard_normal((64, r))
     lambdas = np.array([m / 64, 1.0])
-    vals, funcs = selfnorm._segment_paths(values, lambdas, 3, 1.0, False, with_functions)
-    assert seen == shapes
+    vals, funcs = selfnorm._segment_paths(values, lambdas, 2, 1.0, False, with_functions)
+    # without functions eigvalsh stands in for eigh and nothing is solved
+    assert seen == [("eigvalsh" if name == "eigh" and not with_functions else name, shape)
+                    for name, shape in shapes if with_functions or name != "solve"]
     monkeypatch.undo()
     ref_vals, ref_funcs = stack_paths(values, lambdas, 3, 1.0, False, with_functions)
     np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0.0)
     if with_functions:
-        np.testing.assert_allclose(aligned_distance_sq(funcs, ref_funcs), 0.0, atol=1e-14)
+        np.testing.assert_allclose(aligned_distance_sq(funcs, ref_funcs[:, :2]), 0.0,
+                                   atol=1e-14)
