@@ -70,13 +70,13 @@ _PI_EXPR = re.compile(r"^\s*(\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?\s*$")
 def parse_float_or_pi(text: str) -> float:
     """Parse '0.39', 'pi/16' or '2pi/5' into a float."""
     match = _PI_EXPR.match(text)
-    if match:
+    try:
+        if not match:
+            return float(text)
         coef = float(match.group(1)) if match.group(1) else 1.0
         div = float(match.group(2)) if match.group(2) else 1.0
         return coef * math.pi / div
-    try:
-        return float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"{text!r} is neither a number nor a pi expression like 'pi/16'"
         ) from None
@@ -326,6 +326,8 @@ class AnalysisConfig:
                            for a in self.angles)
         except argparse.ArgumentTypeError as exc:
             raise ValueError(f"setting 'angles': {exc}") from None
+        if not all(map(math.isfinite, angles)):
+            raise ValueError(f"setting 'angles' must hold finite numbers, got {list(angles)}")
         object.__setattr__(self, "angles", angles)
         object.__setattr__(self, "divisors", tuple(self.divisors))
         object.__setattr__(self, "alphas", tuple(sorted(map(float, self.alphas), reverse=True)))
@@ -392,7 +394,7 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     post_system = eigendecompose(post_kernel, post_kernel.dim)
 
     paths = sequential_eigensystem_paths(split, max(config.j_fun, config.j_val), nu,
-                                         center=True, with_functions=True)
+                                         functions=config.j_fun, center=True)
 
     def run_tests(path, deltas_by_label):
         norm = self_normalizer(path, nu)

@@ -75,12 +75,14 @@ class DGPSpec:
         tau = default_tau(self.T) if self.tau is None else np.asarray(self.tau, dtype=float)
         if tau.shape != (self.T,):
             raise ValueError(f"tau must have length {self.T}")
-        if np.any(tau <= 0.0) or np.any(np.diff(tau) > 0.0):
-            raise ValueError("tau must be strictly positive and non-increasing")
+        if not (np.isfinite(tau).all() and (tau > 0.0).all() and (np.diff(tau) <= 0.0).all()):
+            raise ValueError("tau must be finite, strictly positive and non-increasing")
         if self.dependence not in DEPENDENCES:
             raise ValueError(f"unknown dependence {self.dependence!r}; expected one of {DEPENDENCES}")
         if self.break_kind not in BREAK_KINDS:
             raise ValueError(f"unknown break kind {self.break_kind!r}; expected one of {BREAK_KINDS}")
+        if not np.isfinite(self.magnitude):
+            raise ValueError(f"break magnitude must be finite, got {self.magnitude}")
         if self.break_kind == "eigenvalue_shift" and not 0.0 <= self.magnitude <= 1.0:
             raise ValueError(f"eigenvalue-shift magnitude must lie in [0,1], got {self.magnitude}")
         object.__setattr__(self, "tau", tau)

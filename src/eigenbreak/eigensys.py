@@ -76,26 +76,25 @@ def _canonical_signs(functions: np.ndarray) -> np.ndarray:
     return out
 
 
-def operator_eigh(matrices: np.ndarray, weight: float, p: int,
-                  with_functions: bool = True):
-    """Leading p eigenpairs of one kernel matrix or a stack, on the operator scale.
+def operator_eigh(matrices: np.ndarray, weight: float, p: int, q: int):
+    """Leading p eigenvalues and q <= p eigenfunctions of one kernel matrix or a stack.
 
-    Returns ``(values, functions)``: eigenvalues descending times ``weight``,
-    shape (..., p), and the matching eigenfunctions as rows of unit
-    quadrature norm, shape (..., p, R), with their signs as ``eigh`` leaves
-    them.  Without functions only ``eigvalsh`` runs and ``functions`` is None.
+    Returns ``(values, functions)`` on the operator scale: eigenvalues
+    descending times ``weight``, shape (..., p), and the first q matching
+    eigenfunctions as rows of unit quadrature norm, shape (..., q, R), with
+    their signs as ``eigh`` leaves them.  With q = 0 only ``eigvalsh`` runs.
     """
-    if not with_functions:
-        return np.linalg.eigvalsh(matrices)[..., ::-1][..., :p] * weight, None
-    vals, vecs = np.linalg.eigh(matrices)
+    if q:
+        vals, vecs = np.linalg.eigh(matrices)
+    else:
+        vals, vecs = np.linalg.eigvalsh(matrices), np.empty(matrices.shape[:-1] + (0,))
     # eigh returns unit Euclidean columns; unit quadrature norm needs 1/sqrt(w)
-    functions = np.swapaxes(vecs[..., ::-1][..., :p], -1, -2) / np.sqrt(weight)
+    functions = np.swapaxes(vecs[..., ::-1][..., :q], -1, -2) / np.sqrt(weight)
     return vals[..., ::-1][..., :p] * weight, functions
 
 
-def gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int,
-              with_functions: bool = True):
-    """Leading p eigenpairs of ``rows.T @ rows / m`` through its m x m dual.
+def gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int, q: int):
+    """Leading p eigenvalues and q <= p eigenfunctions of ``rows.T @ rows / m`` by its dual.
 
     ``rows`` holds m observations (m, R) and ``gram`` their Gram matrix
     ``rows @ rows.T``.  The nonzero eigenvalues of the R x R kernel equal
@@ -106,12 +105,11 @@ def gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int,
     pair whose Gram eigenvector lies in the null space of ``rows.T`` keeps a
     zero function.
     """
-    vals, functions = operator_eigh(gram / rows.shape[0], 1.0, p, with_functions)
-    if with_functions:
-        functions = functions @ rows
-        # unit Euclidean rows first, then 1/sqrt(w) for unit quadrature norm
-        norms = np.sqrt(weight) * np.linalg.norm(functions, axis=1, keepdims=True)
-        np.divide(functions, norms, out=functions, where=norms > 0.0)
+    vals, functions = operator_eigh(gram / rows.shape[0], 1.0, p, q)
+    functions = functions @ rows
+    # unit Euclidean rows first, then 1/sqrt(w) for unit quadrature norm
+    norms = np.sqrt(weight) * np.linalg.norm(functions, axis=1, keepdims=True)
+    np.divide(functions, norms, out=functions, where=norms > 0.0)
     return vals * weight, functions
 
 
@@ -177,7 +175,7 @@ def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:
     """
     if not 1 <= p_max <= kernel.dim:
         raise ValueError(f"p_max must lie in [1, {kernel.dim}], got {p_max}")
-    vals, functions = operator_eigh(kernel.matrix, kernel.weight, p_max)
+    vals, functions = operator_eigh(kernel.matrix, kernel.weight, p_max, p_max)
     return EigenSystem(
         eigenvalues=vals,
         eigenfunctions=_canonical_signs(functions),

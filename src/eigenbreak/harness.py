@@ -81,8 +81,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.test_kind not in PATH_KINDS:
             raise ValueError(f"unknown test kind {self.test_kind!r}; expected one of {PATH_KINDS}")
-        if self.delta < 0.0:
-            raise ValueError(f"relevance threshold must be nonnegative, got {self.delta}")
+        if not 0.0 <= self.delta < np.inf:
+            raise ValueError(
+                f"relevance threshold must be finite and nonnegative, got {self.delta}")
         if len(self.magnitudes) == 0:
             raise ValueError("magnitude grid must not be empty")
         if len(self.n_list) == 0:

@@ -44,6 +44,7 @@ PATH_KINDS = ("eigenvalue", "eigenfunction")
 DEGENERATE_NORMALIZER = 1e-12
 
 _PIVOT_CHUNK = 100_000
+_PIVOT_BLOCK_BYTES = 16 * 2**20
 _CACHE_GRID = 10_000
 
 #: kernels of fewer dimensions keep every prefix in the R x R stack: there
@@ -232,26 +233,27 @@ def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
     lams = NuMeasure(K).points
     if R < 1:
         raise ValueError(f"the pivot sample needs R >= 1 replicates, got {R}")
+    # a chunk's draws come in row blocks of at most _PIVOT_BLOCK_BYTES from
+    # its one generator, which fills rows in order: the same draws as one block
+    rows = max(1, _PIVOT_BLOCK_BYTES // (8 * K))
     out = np.empty(R)
-    pos = 0
-    chunk_idx = 0
-    while pos < R:
-        n = min(_PIVOT_CHUNK, R - pos)
+    for chunk_idx, start in enumerate(range(0, R, _PIVOT_CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence((seed, chunk_idx)))
-        # one (n, K) buffer holds the increments, the motion and the bridge
-        motion = rng.standard_normal((n, K))
-        motion *= np.sqrt(1.0 / K)
-        np.cumsum(motion, axis=1, out=motion)
-        end = motion[:, -1].copy()
-        bridge = motion[:, :-1]
-        for col, lam in enumerate(lams):  # no (n, K - 1) temporary beside the buffer
-            bridge[:, col] -= lam * end
-        np.square(bridge, out=bridge)
-        bridge *= lams**2
-        out[pos : pos + n] = end / np.sqrt(np.mean(bridge, axis=1))
-        del motion, bridge  # unbound before the next chunk's buffer is drawn
-        pos += n
-        chunk_idx += 1
+        stop = min(start + _PIVOT_CHUNK, R)
+        for pos in range(start, stop, rows):
+            n = min(rows, stop - pos)
+            # one (n, K) buffer holds the increments, the motion and the bridge
+            motion = rng.standard_normal((n, K))
+            motion *= np.sqrt(1.0 / K)
+            np.cumsum(motion, axis=1, out=motion)
+            end = motion[:, -1].copy()
+            bridge = motion[:, :-1]
+            for col, lam in enumerate(lams):  # no (n, K - 1) temporary beside the buffer
+                bridge[:, col] -= lam * end
+            np.square(bridge, out=bridge)
+            bridge *= lams**2
+            out[pos : pos + n] = end / np.sqrt(np.mean(bridge, axis=1))
+            del motion, bridge  # unbound before the next block's buffer is drawn
     out.sort()
     return PivotDistribution(K=K, sample=out, seed=seed, R=R)
 
@@ -290,17 +292,18 @@ class EigenPaths:
     """Sequential eigensystems of both split segments along the lambda grid.
 
     Rows of ``values*`` hold the leading p_max + 1 (at most R) eigenvalues
-    per lambda; rows of ``functions*`` hold the first p_max matching
-    eigenfunctions, the ones a test reads (zero rows where the
-    lambda-prefix of a segment is empty and the kernel degenerates, or
-    where the eigenvalue is at round-off and the function unidentified).
+    per lambda; rows of ``functions*`` hold the leading matching
+    eigenfunctions asked for, at most p_max: the ones a test reads (zero
+    rows where the lambda-prefix of a segment is empty and the kernel
+    degenerates, or where the eigenvalue is at round-off and the function
+    unidentified).
     """
 
     lambdas: np.ndarray
     values1: np.ndarray
     values2: np.ndarray
-    functions1: np.ndarray | None
-    functions2: np.ndarray | None
+    functions1: np.ndarray
+    functions2: np.ndarray
     weight: float
     p_max: int
 
@@ -314,10 +317,9 @@ class EigenPaths:
         if kind not in PATH_KINDS:
             raise ValueError(f"unknown path kind {kind!r}; "
                              "expected 'eigenvalue' or 'eigenfunction'")
-        if kind == "eigenfunction" and (self.functions1 is None or self.functions2 is None):
-            raise ValueError("paths were computed without eigenfunctions")
-        if not 1 <= j <= self.p_max:
-            raise ValueError(f"eigen index {j} exceeds the decomposed range 1..{self.p_max}")
+        n = self.p_max if kind == "eigenvalue" else self.functions1.shape[1]
+        if not 1 <= j <= n:
+            raise ValueError(f"eigen index {j} exceeds the decomposed {kind} range 1..{n}")
         if kind == "eigenvalue":
             values = (self.values1[:, j - 1] - self.values2[:, j - 1]) ** 2
         else:
@@ -333,17 +335,17 @@ class EigenPaths:
 
 
 def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p_max: int, weight: float,
-                   center: bool, with_functions: bool):
+                   center: bool, q: int):
     """Leading eigenpairs of every lambda-prefix kernel of one segment.
 
-    Returns p = min(R, p_max + 1) eigenvalues and, with functions, the
-    p_max eigenfunctions a test reads per prefix.  A kernel of fewer than
+    Returns p = min(R, p_max + 1) eigenvalues and the q <= p_max
+    eigenfunctions a test reads per prefix.  A kernel of fewer than
     _GRAM_MIN_DIM dimensions keeps every prefix in one R x R stack and
     takes ``shifted_eigh``: ``eigvalsh`` plus shifted solves.  From that R
-    on, ``eigh`` runs: a prefix of m rows with p <= m < R goes through the
-    leading m x m block of one segment Gram matrix, and the other prefixes
-    through the stack.  Empty prefixes and unidentified pairs (eigenvalue
-    at round-off) get zero functions.
+    on, ``operator_eigh`` runs: a prefix of m rows with p <= m < R goes
+    through the leading m x m block of one segment Gram matrix, and the
+    other prefixes through the stack.  Empty prefixes and unidentified
+    pairs (eigenvalue at round-off) get zero functions.
     """
     n, r = values.shape
     if center:
@@ -351,36 +353,32 @@ def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p_max: int, weight: 
     counts = np.array([prefix_count(n, lam) for lam in lambdas])
     p = min(r, p_max + 1)
     vals = np.zeros((counts.size, p))
-    funcs = np.zeros((counts.size, p_max, r)) if with_functions else None
+    funcs = np.zeros((counts.size, q, r))
     # the counts do not decrease, so the Gram-form prefixes are one run
     dual = (counts >= p) & (counts < r) & (r >= _GRAM_MIN_DIM)
     stacked = np.flatnonzero((counts > 0) & ~dual)
-    stack = prefix_moments(values, counts[stacked])
-    if r < _GRAM_MIN_DIM:
-        pairs = [(stacked, shifted_eigh(stack, weight, p, p_max if with_functions else 0))]
-    else:
-        pairs = [(stacked, operator_eigh(stack, weight, p, with_functions))]
+    stack_eigh = shifted_eigh if r < _GRAM_MIN_DIM else operator_eigh
+    pairs = [(stacked, stack_eigh(prefix_moments(values, counts[stacked]), weight, p, q))]
     if dual.any():
         head = values[: counts[dual][-1]]
         gram = head @ head.T
-        pairs += [(i, gram_eigh(head[:m], gram[:m, :m], weight, p, with_functions))
+        pairs += [(i, gram_eigh(head[:m], gram[:m, :m], weight, p, q))
                   for i, m in zip(np.flatnonzero(dual), counts[dual])]
     for at, (v, f) in pairs:
         vals[at] = v
-        if with_functions:
-            funcs[at] = f[..., :p_max, :]
-    if with_functions:
-        funcs[unidentified(vals)[:, :p_max]] = 0.0
+        funcs[at] = f
+    funcs[unidentified(vals)[:, :q]] = 0.0
     return vals, funcs
 
 
 def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
-                                 *, center: bool = False,
-                                 with_functions: bool = True) -> EigenPaths:
+                                 *, functions: int, center: bool = False) -> EigenPaths:
     """Eigen-decompose both segments' sequential kernels on the nu grid plus 1.
 
     One extra eigenvalue beyond ``p_max`` is kept when available so that
-    eigen-gap degeneracy around the tested index can be diagnosed.
+    eigen-gap degeneracy around the tested index can be diagnosed.  Only
+    the leading ``functions`` <= p_max eigenfunctions are computed: an
+    eigenfunction test of index j reads the j-th, an eigenvalue test none.
 
     Segments of a single observation are allowed (they occur for extreme
     splits, e.g. with no boundary trim): their sub-sample kernels at
@@ -389,10 +387,12 @@ def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
     r = split.pre.shape[1]
     if not 1 <= p_max <= r:
         raise ValueError(f"eigen index range must lie in [1, {r}], got {p_max}")
+    if not 0 <= functions <= p_max:
+        raise ValueError(f"eigenfunction count must lie in [0, {p_max}], got {functions}")
     weight = mode_weight(split.mode, r)
     lambdas = np.append(nu.points, 1.0)
-    vals1, funcs1 = _segment_paths(split.pre, lambdas, p_max, weight, center, with_functions)
-    vals2, funcs2 = _segment_paths(split.post, lambdas, p_max, weight, center, with_functions)
+    vals1, funcs1 = _segment_paths(split.pre, lambdas, p_max, weight, center, functions)
+    vals2, funcs2 = _segment_paths(split.post, lambdas, p_max, weight, center, functions)
     return EigenPaths(
         lambdas=lambdas,
         values1=vals1,
@@ -428,7 +428,7 @@ def diff_path(split: SplitSample, j: int, nu: NuMeasure, kind: str,
     DiffPath
     """
     return sequential_eigensystem_paths(
-        split, j, nu, center=center, with_functions=kind == "eigenfunction"
+        split, j, nu, functions=j if kind == "eigenfunction" else 0, center=center
     ).diff(j, kind)
 
 
@@ -473,8 +473,8 @@ def decide(path: DiffPath, normalizer: float, delta: float,
         With Monte-Carlo p-value P(pivot <= ratio); a numerically zero
         normalizer yields a conservative retain with a warning.
     """
-    if delta < 0.0:
-        raise ValueError(f"relevance threshold must be nonnegative, got {delta}")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"relevance threshold must be finite and nonnegative, got {delta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"test level must lie in (0,1), got {alpha}")
     statistic = path.statistic

@@ -296,7 +296,7 @@ def test_eigen_path_memory_is_bounded():
     split = SplitSample.at_index(values, 200, mode="grid")
     tracemalloc.start()
     try:
-        sequential_eigensystem_paths(split, 1, NuMeasure(20), with_functions=True)
+        sequential_eigensystem_paths(split, 1, NuMeasure(20), functions=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -27,8 +28,9 @@ def test_parse_float_or_pi():
     assert parse_float_or_pi("pi/16") == pytest.approx(math.pi / 16)
     assert parse_float_or_pi("2pi/5") == pytest.approx(2 * math.pi / 5)
     assert parse_float_or_pi("pi") == pytest.approx(math.pi)
-    with pytest.raises(Exception):
-        parse_float_or_pi("two pi")
+    for text in ("two pi", "pi/0"):
+        with pytest.raises(argparse.ArgumentTypeError, match="neither a number"):
+            parse_float_or_pi(text)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +268,9 @@ _BAD_EXPERIMENT_FIELDS = [
     ({"replicates": "10"}, "'replicates'"),
     ({"tau": 3}, "'tau'"),
     ({"alpha": None}, "'alpha'"),
+    # JSON numbers may be NaN: exited 0 with rate 0.0, or failed in replicate 0
+    ({"delta": float("nan")}, "relevance threshold"),
+    ({"break_kind": "rotation", "magnitudes": [float("nan")]}, "break magnitude"),
 ]
 
 
@@ -418,6 +423,25 @@ def test_analysis_report_matrix_shapes(tmp_path, small_pivot):
     assert pre == sorted(pre, reverse=True)
 
 
+def test_analysis_solves_only_for_the_tested_eigenfunctions(tmp_path, monkeypatch, small_pivot):
+    # below 32 dimensions the prefix kernels' eigenfunctions come from
+    # shifted solves: a batch holds at most one system per lambda and tested
+    # index, (K + 1) * j_fun = 105 with the defaults, none for j_fun < j <= j_val
+    series = generate(DGPSpec(N=60, T=21, seed=4))
+    csv_path = tmp_path / "order21.csv"
+    write_daily_csv(series, 1900, csv_path)
+    config = AnalysisConfig(T=21)
+    batches = []
+
+    def solve(a, b, _solve=np.linalg.solve):
+        batches.append(int(np.prod(np.shape(a)[:-2])))
+        return _solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    run_analysis(csv_path, None, config, small_pivot)
+    assert batches and max(batches) <= (config.K + 1) * config.j_fun, batches
+
+
 def test_analysis_needs_eight_years(tmp_path, small_pivot):
     series = generate(DGPSpec(N=5, T=5, seed=2))
     csv_path = tmp_path / "short.csv"
@@ -491,7 +515,9 @@ def test_analyze_config_rejects_unknown_keys(tmp_path, capsys):
                                    # list settings take a JSON array of numbers
                                    {"angles": ["two pi"]}, {"angles": 5}, {"angles": [True]},
                                    {"divisors": "50"}, {"divisors": [50.5]},
-                                   {"alphas": ["x"]}, {"alphas": None}])
+                                   {"alphas": ["x"]}, {"alphas": None},
+                                   # a zero divisor, and a number that is not finite
+                                   {"angles": ["pi/0"]}, {"angles": [float("nan")]}])
 def test_analyze_config_rejects_wrongly_typed_values(tmp_path, capsys, field):
     cfg = tmp_path / "analyze.json"
     cfg.write_text(json.dumps({"csv": "x.csv", **field}))
@@ -572,6 +598,8 @@ def test_analyze_refuses_bad_settings_before_ingestion(tmp_path, capsys, monkeyp
     (["--divisors", ","], "'divisors' must not be empty"),
     (["--divisors", "0,100"], "divisors must be positive"),
     (["--alphas", ""], "'alphas' must not be empty"),
+    (["--angles", "nan"], "'angles' must hold finite numbers"),
+    (["--angles", "pi/8,inf"], "'angles' must hold finite numbers"),
 ])
 def test_analyze_refuses_bad_settings_before_the_pivot(tmp_path, capsys, monkeypatch,
                                                        ten_year_csv, flags, message):

@@ -48,6 +48,10 @@ def test_config_validation():
     ({"K": 1}, "K >= 2"),
     ({"epsilon": 0.5}, "boundary trim epsilon"),
     ({"n_list": (8, 9), "epsilon": 0.49}, "leaves no split"),
+    ({"delta": np.nan}, "relevance threshold"),
+    ({"delta": np.inf}, "relevance threshold"),
+    ({"break_kind": "rotation", "magnitudes": (0.1, np.inf)}, "break magnitude"),
+    ({"tau": (1.0, np.nan) + (0.5,) * 19}, "tau must be finite"),
 ])
 def test_config_refuses_every_invalid_cell(field, message):
     # the data model's, the measure's and the trim's rules apply at

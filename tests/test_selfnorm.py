@@ -174,8 +174,9 @@ def test_degenerate_normalizer_retains_with_warning(pivot):
 
 def test_decide_validation(pivot):
     path = make_path(np.full(20, 1.0))
-    with pytest.raises(ValueError, match="nonnegative"):
-        decide(path, 1.0, -0.1, pivot, 0.05)
+    for delta in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            decide(path, 1.0, delta, pivot, 0.05)
     with pytest.raises(ValueError, match="level"):
         decide(path, 1.0, 0.1, pivot, 1.5)
 
@@ -190,15 +191,16 @@ def test_pivot_is_reproducible_and_sorted():
 
 
 def test_pivot_simulation_memory_is_bounded():
-    # each 100k-draw chunk is drawn into one (n, K) buffer of 16 MB at K=20,
-    # unbound before the next one is drawn
-    tracemalloc.start()
-    try:
-        simulate_pivot(20)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 30 * 2**20
+    # each 100k-draw chunk is drawn in (n, K) row blocks of at most 16 MiB,
+    # one block at K=20 and ten at K=200, each unbound before the next one
+    for K, R in ((20, DEFAULT_PIVOT_REPLICATES), (200, 150_000)):
+        tracemalloc.start()
+        try:
+            simulate_pivot(K, R)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 30 * 2**20, K
 
 
 def test_pivot_median_is_near_zero():
@@ -271,7 +273,7 @@ def test_multi_index_paths_share_eigensystems():
     rng = np.random.default_rng(19)
     values = rng.standard_normal((80, 8))
     split = SplitSample.at_index(values, 40)
-    paths = sequential_eigensystem_paths(split, 3, NU, with_functions=True)
+    paths = sequential_eigensystem_paths(split, 3, NU, functions=3)
     for j in (1, 2, 3):
         one = diff_path(split, j, NU, "eigenvalue")
         np.testing.assert_allclose(paths.diff(j, "eigenvalue").values, one.values, atol=1e-12)
@@ -293,15 +295,17 @@ def test_diff_path_index_validation():
 def test_eigen_paths_diff_refuses_bad_requests():
     values = np.random.default_rng(1).standard_normal((20, 4))
     split = SplitSample.at_index(values, 10)
-    paths = sequential_eigensystem_paths(split, 2, NU)
+    paths = sequential_eigensystem_paths(split, 2, NU, functions=2)
     with pytest.raises(ValueError, match="unknown path kind 'spectrum'"):
         paths.diff(1, "spectrum")
     for j in (0, 3):
-        with pytest.raises(ValueError, match=rf"eigen index {j} exceeds the decomposed range 1\.\.2"):
+        with pytest.raises(ValueError, match=rf"eigen index {j} exceeds the decomposed "
+                                             r"eigenvalue range 1\.\.2"):
             paths.diff(j, "eigenvalue")
-    values_only = sequential_eigensystem_paths(split, 2, NU, with_functions=False)
+    values_only = sequential_eigensystem_paths(split, 2, NU, functions=0)
     assert values_only.diff(2, "eigenvalue").kind == "eigenvalue"
-    with pytest.raises(ValueError, match="paths were computed without eigenfunctions"):
+    with pytest.raises(ValueError, match=r"eigen index 1 exceeds the decomposed "
+                                         r"eigenfunction range 1\.\.0"):
         values_only.diff(1, "eigenfunction")
 
 
@@ -318,7 +322,8 @@ def test_single_observation_segment_degenerates_gracefully():
 @pytest.mark.parametrize("mode, weight", [("coeff", 1.0), ("grid", 0.25)])
 def test_empty_prefixes_give_zero_eigenpairs(mode, weight):
     values = np.random.default_rng(2).standard_normal((30, 4))
-    paths = sequential_eigensystem_paths(SplitSample.at_index(values, 1, mode=mode), 1, NU)
+    paths = sequential_eigensystem_paths(SplitSample.at_index(values, 1, mode=mode), 1, NU,
+                                         functions=1)
     assert not paths.values1[:-1].any() and not paths.functions1[:-1].any()
     # the distance to a zero function is the squared norm of the other one
     path = paths.diff(1, "eigenfunction")
@@ -430,7 +435,7 @@ def split_samples(draw, dims=st.one_of(st.integers(2, 4), st.integers(32, 34))):
 def eigen_statistics(values, k, j, mode="coeff"):
     """Sequential eigenvalues and both difference paths with their normalizers."""
     split = SplitSample.at_index(values, k, mode=mode)
-    paths = sequential_eigensystem_paths(split, j, NU)
+    paths = sequential_eigensystem_paths(split, j, NU, functions=j)
     val = paths.diff(j, "eigenvalue")
     fun = paths.diff(j, "eigenfunction")
     return {
@@ -503,37 +508,32 @@ def test_eigen_statistics_agree_in_coeff_and_grid_mode(sample, extra_nodes):
                             eigen_statistics(coeffs, k, j), UNCHANGED)
 
 
-def stack_paths(segment, lambdas, p, weight, center, with_functions):
+def stack_paths(segment, lambdas, p, weight, center, q):
     """Reference eigen paths: every prefix kernel through the R x R stack."""
     values = segment - segment.mean(axis=0) if center else segment
     counts = [prefix_count(len(values), lam) for lam in lambdas]
-    vals, funcs = operator_eigh(prefix_moments(values, counts), weight, p, with_functions)
+    vals, funcs = operator_eigh(prefix_moments(values, counts), weight, p, q)
     empty = np.asarray(counts) == 0
     vals[empty] = 0.0
-    if funcs is not None:
-        funcs[empty] = 0.0
+    funcs[empty] = 0.0
     return vals, funcs
 
 
-def assert_paths_match_stack(split, p_max, nu, center, with_functions):
+def assert_paths_match_stack(split, p_max, nu, center, q):
     """Eigen paths agree with the stack: eigenvalues to 1e-10 of the leading
-    one, tested eigenfunctions by sign-free distance wherever the gap is clear."""
-    paths = sequential_eigensystem_paths(split, p_max, nu, center=center,
-                                         with_functions=with_functions)
+    one, the q tested eigenfunctions by sign-free distance wherever the gap is clear."""
+    paths = sequential_eigensystem_paths(split, p_max, nu, functions=q, center=center)
     r = split.pre.shape[1]
     weight = mode_weight(split.mode, r)
     p = min(r, p_max + 1)
     for segment, vals, funcs in ((split.pre, paths.values1, paths.functions1),
                                  (split.post, paths.values2, paths.functions2)):
-        ref_vals, ref_funcs = stack_paths(segment, paths.lambdas, p, weight, center,
-                                          with_functions)
+        ref_vals, ref_funcs = stack_paths(segment, paths.lambdas, p, weight, center, q)
         scale = np.abs(ref_vals[:, :1])
         assert np.all(np.abs(vals - ref_vals) <= 1e-10 * scale)
-        if not with_functions:
-            assert funcs is None
-            continue
+        assert funcs.shape == ref_funcs.shape == (paths.lambdas.size, q, r)
         for i, row in enumerate(ref_vals):
-            for j in range(1, p_max + 1):
+            for j in range(1, q + 1):
                 if gap_warning(row, j) is None:
                     dist_sq = aligned_distance_sq(funcs[i, j - 1], ref_funcs[i, j - 1],
                                                   weight=weight)
@@ -554,10 +554,10 @@ def short_segments(draw):
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(sample=short_segments(), center=st.booleans(), with_functions=st.booleans())
-def test_gram_form_agrees_with_the_kernel_stack(sample, center, with_functions):
+@given(sample=short_segments(), center=st.booleans(), data=st.data())
+def test_gram_form_agrees_with_the_kernel_stack(sample, center, data):
     split, p_max = sample
-    assert_paths_match_stack(split, p_max, NU, center, with_functions)
+    assert_paths_match_stack(split, p_max, NU, center, data.draw(st.integers(0, p_max)))
 
 
 @pytest.mark.parametrize("mode, r, axes", [
@@ -575,8 +575,8 @@ def test_gram_form_of_repeated_rows(mode, r, axes, center):
     values = np.repeat(rows, 2, axis=0)
     split = SplitSample.at_index(values, 24, mode=mode)
     for p_max in (1, 3, 6):
-        assert_paths_match_stack(split, p_max, NU, center, with_functions=True)
-        paths = sequential_eigensystem_paths(split, p_max, NU, center=center)
+        assert_paths_match_stack(split, p_max, NU, center, p_max)
+        paths = sequential_eigensystem_paths(split, p_max, NU, functions=p_max, center=center)
         assert np.all(np.isfinite(paths.functions1)) and np.all(np.isfinite(paths.functions2))
 
 
@@ -588,7 +588,8 @@ def test_pairs_past_a_prefix_rank_get_zero_functions(r):
     # 0.05, where the segments' prefixes hold 4 and 1 rows, and a unit
     # function with a zero one at 0.10 and 0.15
     values = np.random.default_rng(5).standard_normal((123, r))
-    paths = sequential_eigensystem_paths(SplitSample.at_index(values, 92), 5, NU, center=True)
+    paths = sequential_eigensystem_paths(SplitSample.at_index(values, 92), 5, NU, functions=5,
+                                         center=True)
     for n, funcs in ((92, paths.functions1), (31, paths.functions2)):
         counts = np.array([prefix_count(n, lam) for lam in paths.lambdas])
         norms = np.sum(funcs**2, axis=2)
@@ -603,11 +604,12 @@ def test_pairs_past_a_prefix_rank_get_zero_functions(r):
     (32, 31, [("eigh", (1, 32, 32)), ("eigh", (31, 31))]),   # m = R - 1
     (32, 32, [("eigh", (2, 32, 32))]),                       # m = R: the stack
     # R below _GRAM_MIN_DIM: eigvalsh on the stack, then two shifted solves
-    # for the p_max = 2 tested pairs of both prefixes
+    # for the q = 2 tested pairs of both prefixes
     (31, 3, [("eigvalsh", (2, 31, 31)), ("solve", (4, 31, 31)), ("solve", (4, 31, 31))]),
 ])
-@pytest.mark.parametrize("with_functions", [False, True])
-def test_gram_form_boundaries(monkeypatch, r, m, shapes, with_functions):
+# the ids name whether eigenfunctions are asked for: none, or the two tested
+@pytest.mark.parametrize("q", [0, 2], ids=["False", "True"])
+def test_gram_form_boundaries(monkeypatch, r, m, shapes, q):
     # p_max = 2, so p = 3; the prefixes hold m and all 64 rows of the segment
     seen = []
     for name in ("eigh", "eigvalsh", "solve"):
@@ -617,13 +619,12 @@ def test_gram_form_boundaries(monkeypatch, r, m, shapes, with_functions):
         monkeypatch.setattr(np.linalg, name, record)
     values = np.random.default_rng(m).standard_normal((64, r))
     lambdas = np.array([m / 64, 1.0])
-    vals, funcs = selfnorm._segment_paths(values, lambdas, 2, 1.0, False, with_functions)
+    vals, funcs = selfnorm._segment_paths(values, lambdas, 2, 1.0, False, q)
     # without functions eigvalsh stands in for eigh and nothing is solved
-    assert seen == [("eigvalsh" if name == "eigh" and not with_functions else name, shape)
-                    for name, shape in shapes if with_functions or name != "solve"]
+    assert seen == [("eigvalsh" if name == "eigh" and not q else name, shape)
+                    for name, shape in shapes if q or name != "solve"]
     monkeypatch.undo()
-    ref_vals, ref_funcs = stack_paths(values, lambdas, 3, 1.0, False, with_functions)
+    ref_vals, ref_funcs = stack_paths(values, lambdas, 3, 1.0, False, q)
     np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0.0)
-    if with_functions:
-        np.testing.assert_allclose(aligned_distance_sq(funcs, ref_funcs[:, :2]), 0.0,
-                                   atol=1e-14)
+    assert funcs.shape == ref_funcs.shape == (2, q, r)
+    np.testing.assert_allclose(aligned_distance_sq(funcs, ref_funcs), 0.0, atol=1e-14)
