@@ -85,6 +85,8 @@ class DGPSpec:
             raise ValueError(f"break magnitude must be finite, got {self.magnitude}")
         if self.break_kind == "eigenvalue_shift" and not 0.0 <= self.magnitude <= 1.0:
             raise ValueError(f"eigenvalue-shift magnitude must lie in [0,1], got {self.magnitude}")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "tau", tau)
 
 

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covkern import CovKernel
+from .covkern import CovKernel, prefix_moments
 
 __all__ = [
     "EigenSystem",
     "eigendecompose",
     "operator_eigh",
-    "gram_eigh",
-    "shifted_eigh",
-    "unidentified",
+    "prefix_eigenpairs",
     "aligned_distance_sq",
     "gap_warning",
 ]
@@ -33,6 +31,15 @@ DEGENERACY_RTOL = 1e-10
 #: machine epsilons of the leading eigenvalue added to each shift, so that
 #: M - sigma I is not exactly singular when eigvalsh returns sigma exactly
 SHIFT_EPS = 1024
+
+#: kernels of fewer dimensions keep every prefix in the R x R stack: there
+#: one more stacked matrix costs 45-60 us, no more than a separate m x m
+#: Gram eigh with numpy's ~25 us fixed cost per call (1 BLAS thread, R=21),
+#: while from R=31 on the Gram form of m <= 3R/4 rows takes half or less.
+#: The stack of a smaller kernel takes eigvalsh plus shifted solves (20
+#: prefixes of R=21: 0.4 + 2 x 0.1 ms against 1.1 ms for eigh); from this
+#: R on eigh stays, as the solves lost on Gram blocks of rank <= 21
+_GRAM_MIN_DIM = 32
 
 
 def gap_warning(eigenvalues, j: int) -> str | None:
@@ -93,7 +100,7 @@ def operator_eigh(matrices: np.ndarray, weight: float, p: int, q: int):
     return vals[..., ::-1][..., :p] * weight, functions
 
 
-def gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int, q: int):
+def _gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int, q: int):
     """Leading p eigenvalues and q <= p eigenfunctions of ``rows.T @ rows / m`` by its dual.
 
     ``rows`` holds m observations (m, R) and ``gram`` their Gram matrix
@@ -113,7 +120,7 @@ def gram_eigh(rows: np.ndarray, gram: np.ndarray, weight: float, p: int, q: int)
     return vals * weight, functions
 
 
-def unidentified(values: np.ndarray) -> np.ndarray:
+def _unidentified(values: np.ndarray) -> np.ndarray:
     """Mask of the pairs whose eigenvalue is at round-off.
 
     ``values`` descend along the last axis.  An eigenvalue at most
@@ -124,7 +131,7 @@ def unidentified(values: np.ndarray) -> np.ndarray:
     return values <= DEGENERACY_RTOL * values[..., :1]
 
 
-def shifted_eigh(matrices: np.ndarray, weight: float, p: int, q: int):
+def _shifted_eigh(matrices: np.ndarray, weight: float, p: int, q: int):
     """Leading p eigenvalues of a stack by ``eigvalsh``, leading q <= p eigenfunctions by solves.
 
     ``matrices`` is a (c, R, R) stack.  Each eigenfunction comes from two
@@ -132,14 +139,14 @@ def shifted_eigh(matrices: np.ndarray, weight: float, p: int, q: int):
     ``solve`` with M - sigma I, sigma the ``eigvalsh`` value plus SHIFT_EPS
     machine epsilons of the leading eigenvalue.  Two steps shrink every
     other eigenvector's share by (shift error / gap)^2.  Pairs that are
-    :func:`unidentified` are not solved for and keep a zero function.
+    _unidentified are not solved for and keep a zero function.
     Returns ``(values, functions)`` of shapes (c, p) and (c, q, R), on the
     scales of :func:`operator_eigh`, with arbitrary signs.
     """
     vals = np.linalg.eigvalsh(matrices)[..., ::-1][..., :p]
     c, r, _ = matrices.shape
     functions = np.zeros((c, q, r))
-    at, j = np.nonzero(~unidentified(vals[:, :q]))
+    at, j = np.nonzero(~_unidentified(vals[:, :q]))
     if at.size:
         shift = vals[at, j] + SHIFT_EPS * np.finfo(float).eps * vals[at, 0]
         system = matrices[at]
@@ -157,6 +164,40 @@ def shifted_eigh(matrices: np.ndarray, weight: float, p: int, q: int):
     return vals * weight, functions
 
 
+def prefix_eigenpairs(rows: np.ndarray, counts, weight: float, p: int, q: int):
+    """Leading eigenpairs of the kernel ``rows[:m].T @ rows[:m] / m`` for each m in ``counts``.
+
+    ``rows`` is (n, R) and the counts do not decrease and lie in [0, n].
+    Returns p <= R eigenvalues and q <= p eigenfunctions per prefix, of
+    shapes (c, p) and (c, q, R), on the scales of :func:`operator_eigh`
+    with arbitrary signs.  A kernel of fewer than _GRAM_MIN_DIM dimensions
+    keeps every prefix in one R x R stack and takes :func:`_shifted_eigh`.
+    From that R on, :func:`operator_eigh` runs: a prefix of m rows with
+    p <= m < R goes through the leading m x m block of one Gram matrix of
+    the rows, and the other prefixes through the stack.  Empty prefixes
+    and unidentified pairs (eigenvalue at round-off) get zero functions.
+    """
+    counts = np.asarray(counts, dtype=int)
+    r = rows.shape[1]
+    vals = np.zeros((counts.size, p))
+    funcs = np.zeros((counts.size, q, r))
+    # the counts do not decrease, so the Gram-form prefixes are one run
+    dual = (counts >= p) & (counts < r) & (r >= _GRAM_MIN_DIM)
+    stacked = np.flatnonzero((counts > 0) & ~dual)
+    stack_eigh = _shifted_eigh if r < _GRAM_MIN_DIM else operator_eigh
+    pairs = [(stacked, stack_eigh(prefix_moments(rows, counts[stacked]), weight, p, q))]
+    if dual.any():
+        head = rows[: counts[dual][-1]]
+        gram = head @ head.T
+        pairs += [(i, _gram_eigh(head[:m], gram[:m, :m], weight, p, q))
+                  for i, m in zip(np.flatnonzero(dual), counts[dual])]
+    for at, (v, f) in pairs:
+        vals[at] = v
+        funcs[at] = f
+    funcs[_unidentified(vals)[:, :q]] = 0.0
+    return vals, funcs
+
+
 def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:
     """Leading eigenpairs of the integral operator induced by a kernel.
 
@@ -170,12 +211,13 @@ def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:
     Returns
     -------
     EigenSystem
-        Eigenvalues sorted descending on the operator scale; eigenfunctions
-        of unit quadrature norm with a canonical sign.
+        Eigenvalues sorted descending on the operator scale; eigenfunctions of
+        unit quadrature norm with a canonical sign, zero where unidentified.
     """
     if not 1 <= p_max <= kernel.dim:
         raise ValueError(f"p_max must lie in [1, {kernel.dim}], got {p_max}")
     vals, functions = operator_eigh(kernel.matrix, kernel.weight, p_max, p_max)
+    functions[_unidentified(vals)] = 0.0
     return EigenSystem(
         eigenvalues=vals,
         eigenfunctions=_canonical_signs(functions),

@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ValueError(f"need at least one replicate, got {self.replicates}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"test level must lie in (0,1), got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         object.__setattr__(self, "magnitudes", tuple(float(m) for m in self.magnitudes))
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if self.tau is not None:
@@ -224,8 +226,9 @@ def _run_chunk(args) -> list[tuple[bool, float]]:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        return max(1, os.cpu_count() or 1)
+    if workers is None:  # the CPUs this process may run on; a CPU mask can make them fewer
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else os.cpu_count() or 1
     if workers < 0:
         raise ValueError(f"worker count must be nonnegative, got {workers}")
     return max(1, workers)
@@ -236,17 +239,18 @@ def cell_outcomes(config: ExperimentConfig, n_obs: int, magnitude: float,
     """Rejections and change-point estimates of every replicate of one cell.
 
     The replicate order of the output is fixed by replicate index, so the
-    result does not depend on the worker count.  A pool's workers receive
-    this process's cached pivot through the pool initializer instead of
-    simulating their own.
+    result does not depend on the worker count.  A pool holds at most one
+    worker per chunk, and its workers receive this process's cached pivot
+    through the pool initializer instead of simulating their own.
     """
     reps = config.replicates
     chunks = [
         (config, n_obs, magnitude, start, min(start + _CHUNK, reps))
         for start in range(0, reps, _CHUNK)
     ]
-    n_workers = _resolve_workers(workers)
-    if n_workers == 1 or len(chunks) == 1:
+    # the fork start method forks every max_workers process at the first submit
+    n_workers = min(_resolve_workers(workers), len(chunks))
+    if n_workers == 1:
         results = [_run_chunk(chunk) for chunk in chunks]
     else:
         pivot = cached_pivot(config.K)

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covkern import SplitSample, mode_weight, prefix_count, prefix_moments
-from .eigensys import (aligned_distance_sq, gap_warning, gram_eigh, operator_eigh, shifted_eigh,
-                       unidentified)
+from .covkern import SplitSample, mode_weight, prefix_count
+from .eigensys import aligned_distance_sq, gap_warning, prefix_eigenpairs
 
 __all__ = [
     "NuMeasure",
@@ -46,15 +45,6 @@ DEGENERATE_NORMALIZER = 1e-12
 _PIVOT_CHUNK = 100_000
 _PIVOT_BLOCK_BYTES = 16 * 2**20
 _CACHE_GRID = 10_000
-
-#: kernels of fewer dimensions keep every prefix in the R x R stack: there
-#: one more stacked matrix costs 45-60 us, no more than a separate m x m
-#: Gram eigh with numpy's ~25 us fixed cost per call (1 BLAS thread, R=21),
-#: while from R=31 on the Gram form of m <= 3R/4 rows takes half or less.
-#: The stack of a smaller kernel takes eigvalsh plus shifted solves (20
-#: prefixes of R=21: 0.4 + 2 x 0.1 ms against 1.1 ms for eigh); from this
-#: R on eigh stays, as the solves lost on Gram blocks of rank <= 21
-_GRAM_MIN_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -184,24 +174,18 @@ class PivotDistribution:
 
     @classmethod
     def load(cls, path) -> "PivotDistribution":
-        meta: dict[str, int] = {}
+        """Read back a file that ``save`` wrote; refuse any other content, naming the file."""
         with open(path, "r", encoding="utf-8") as fh:
-            # metadata, blank lines and the column header precede the rows
-            start, line = fh.tell(), fh.readline()
-            while line and (not line.strip() or line.lstrip().startswith(("#", "probability"))):
-                if line.lstrip().startswith("#"):
-                    for token in line.strip().lstrip("# ").split():
-                        if "=" in token:
-                            key, _, val = token.partition("=")
-                            if key in ("K", "R", "seed"):
-                                meta[key] = int(val)
-                start, line = fh.tell(), fh.readline()
-            fh.seek(start)
-            values = np.loadtxt(fh, delimiter=",", usecols=1, ndmin=1) if line else np.empty(0)
-        if not {"K", "R", "seed"} <= meta.keys():
-            raise ValueError(f"{path} is not a pivot quantile cache")
+            title, meta, columns = (fh.readline().rstrip("\n") for _ in range(3))
+            rows = fh.readlines()
         try:
-            return cls(K=meta["K"], sample=values, seed=meta["seed"], R=meta["R"])
+            keys = [token.partition("=") for token in meta.removeprefix("# ").split()]
+            if [title, columns, *(key for key, _, _ in keys)] != [
+                    "# eigenbreak pivot quantile cache", "probability,quantile", "K", "R", "seed"]:
+                raise ValueError("its first three lines are not the header that save writes")
+            K, R, seed = (int(value) for _, _, value in keys)
+            values = np.loadtxt(rows, delimiter=",", usecols=1, ndmin=1) if rows else np.empty(0)
+            return cls(K=K, sample=values, seed=seed, R=R)
         except ValueError as exc:
             raise ValueError(f"{path} is not a pivot quantile cache: {exc}") from None
 
@@ -233,6 +217,8 @@ def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
     lams = NuMeasure(K).points
     if R < 1:
         raise ValueError(f"the pivot sample needs R >= 1 replicates, got {R}")
+    if seed < 0:
+        raise ValueError(f"pivot seed must be nonnegative, got {seed}")
     # a chunk's draws come in row blocks of at most _PIVOT_BLOCK_BYTES from
     # its one generator, which fills rows in order: the same draws as one block
     rows = max(1, _PIVOT_BLOCK_BYTES // (8 * K))
@@ -295,8 +281,8 @@ class EigenPaths:
     per lambda; rows of ``functions*`` hold the leading matching
     eigenfunctions asked for, at most p_max: the ones a test reads (zero
     rows where the lambda-prefix of a segment is empty and the kernel
-    degenerates, or where the eigenvalue is at round-off and the function
-    unidentified).
+    degenerates, or where the eigenvalue is at round-off, as
+    ``eigensys.prefix_eigenpairs`` leaves them).
     """
 
     lambdas: np.ndarray
@@ -334,43 +320,6 @@ class EigenPaths:
                         warnings=tuple(notes))
 
 
-def _segment_paths(values: np.ndarray, lambdas: np.ndarray, p_max: int, weight: float,
-                   center: bool, q: int):
-    """Leading eigenpairs of every lambda-prefix kernel of one segment.
-
-    Returns p = min(R, p_max + 1) eigenvalues and the q <= p_max
-    eigenfunctions a test reads per prefix.  A kernel of fewer than
-    _GRAM_MIN_DIM dimensions keeps every prefix in one R x R stack and
-    takes ``shifted_eigh``: ``eigvalsh`` plus shifted solves.  From that R
-    on, ``operator_eigh`` runs: a prefix of m rows with p <= m < R goes
-    through the leading m x m block of one segment Gram matrix, and the
-    other prefixes through the stack.  Empty prefixes and unidentified
-    pairs (eigenvalue at round-off) get zero functions.
-    """
-    n, r = values.shape
-    if center:
-        values = values - values.mean(axis=0)
-    counts = np.array([prefix_count(n, lam) for lam in lambdas])
-    p = min(r, p_max + 1)
-    vals = np.zeros((counts.size, p))
-    funcs = np.zeros((counts.size, q, r))
-    # the counts do not decrease, so the Gram-form prefixes are one run
-    dual = (counts >= p) & (counts < r) & (r >= _GRAM_MIN_DIM)
-    stacked = np.flatnonzero((counts > 0) & ~dual)
-    stack_eigh = shifted_eigh if r < _GRAM_MIN_DIM else operator_eigh
-    pairs = [(stacked, stack_eigh(prefix_moments(values, counts[stacked]), weight, p, q))]
-    if dual.any():
-        head = values[: counts[dual][-1]]
-        gram = head @ head.T
-        pairs += [(i, gram_eigh(head[:m], gram[:m, :m], weight, p, q))
-                  for i, m in zip(np.flatnonzero(dual), counts[dual])]
-    for at, (v, f) in pairs:
-        vals[at] = v
-        funcs[at] = f
-    funcs[unidentified(vals)[:, :q]] = 0.0
-    return vals, funcs
-
-
 def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
                                  *, functions: int, center: bool = False) -> EigenPaths:
     """Eigen-decompose both segments' sequential kernels on the nu grid plus 1.
@@ -391,8 +340,11 @@ def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
         raise ValueError(f"eigenfunction count must lie in [0, {p_max}], got {functions}")
     weight = mode_weight(split.mode, r)
     lambdas = np.append(nu.points, 1.0)
-    vals1, funcs1 = _segment_paths(split.pre, lambdas, p_max, weight, center, functions)
-    vals2, funcs2 = _segment_paths(split.post, lambdas, p_max, weight, center, functions)
+    p = min(r, p_max + 1)
+    (vals1, funcs1), (vals2, funcs2) = (
+        prefix_eigenpairs(rows - rows.mean(axis=0) if center else rows,
+                          [prefix_count(len(rows), lam) for lam in lambdas], weight, p, functions)
+        for rows in (split.pre, split.post))
     return EigenPaths(
         lambdas=lambdas,
         values1=vals1,

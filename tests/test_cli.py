@@ -259,6 +259,7 @@ _BAD_EXPERIMENT_FIELDS = [
     ({"epsilon": 0.7}, "boundary trim epsilon"),
     ({"epsilon": "0.1"}, "'epsilon'"),
     ({"seed": "x"}, "'seed'"),
+    ({"seed": -1}, "seed must be nonnegative"),
     # decided from a 3-draw pivot and exited 0
     ({"pivot_replicates": 3}, "'pivot_replicates'"),
     ({"epsilons": [True]}, "'epsilons'"),
@@ -688,15 +689,21 @@ def test_analyze_refuses_a_coarse_quantile_cache(tmp_path, capsys, ten_year_csv,
     assert not out_dir.exists()
 
 
-def _nan_quantile(lines):
-    mid = len(lines) // 2
-    return [*lines[:mid], lines[mid].partition(",")[0] + ",nan\n", *lines[mid + 1:]]
+def _quantile(text):
+    def corrupt(lines):
+        mid = len(lines) // 2
+        return [*lines[:mid], lines[mid].partition(",")[0] + f",{text}\n", *lines[mid + 1:]]
+    return corrupt
 
 
 @pytest.mark.parametrize("corrupt", [
-    _nan_quantile,  # decided every cell TRUE from a nan quantile
+    _quantile("nan"),  # decided every cell TRUE from a nan quantile
     lambda lines: lines[:3] + lines[3:][::-1],  # read p-values from unsorted quantiles
-], ids=["nan", "reversed"])
+    # refused by a parse message that named no file
+    lambda lines: [lines[0], lines[1].replace("R=2000", "R=abc"), *lines[2:]],
+    _quantile("x"),
+    lambda lines: ["one line of text\n"],
+], ids=["nan", "reversed", "header-R", "quantile-x", "one-line"])
 def test_analyze_refuses_a_corrupt_quantile_cache(tmp_path, capsys, ten_year_csv, corrupt):
     _, cache = ten_year_csv
     bad = tmp_path / "corrupt.csv"

@@ -140,3 +140,5 @@ def test_spec_validation():
         DGPSpec(N=10, break_kind="eigenvalue_shift", magnitude=1.5)
     with pytest.raises(ValueError, match="non-increasing"):
         DGPSpec(N=10, T=3, tau=np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        DGPSpec(N=10, seed=-1)

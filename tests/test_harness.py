@@ -52,6 +52,7 @@ def test_config_validation():
     ({"delta": np.inf}, "relevance threshold"),
     ({"break_kind": "rotation", "magnitudes": (0.1, np.inf)}, "break magnitude"),
     ({"tau": (1.0, np.nan) + (0.5,) * 19}, "tau must be finite"),
+    ({"seed": -1}, "seed must be nonnegative"),
 ])
 def test_config_refuses_every_invalid_cell(field, message):
     # the data model's, the measure's and the trim's rules apply at
@@ -98,6 +99,34 @@ def test_worker_count_does_not_change_results():
     pooled_rejects, pooled_thetas = cell_outcomes(config, 60, 0.1, workers=2)
     np.testing.assert_array_equal(serial_rejects, pooled_rejects)
     np.testing.assert_array_equal(serial_thetas, pooled_thetas)
+
+
+def test_pool_holds_at_most_one_worker_per_chunk(monkeypatch):
+    # the fork start method forks every max_workers process at the first
+    # submit; a fake pool records the size and maps in this process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(harness, "_CHUNK", 12)
+    config = ExperimentConfig(**SMALL)
+    pooled = cell_outcomes(config, 60, 0.1, workers=64)
+    assert sizes == [2]
+    serial = cell_outcomes(config, 60, 0.1, workers=1)
+    np.testing.assert_array_equal(pooled[0], serial[0])
+    np.testing.assert_array_equal(pooled[1], serial[1])
 
 
 def test_custom_spectrum_flows_through():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenbreak import selfnorm
+from eigenbreak import eigensys, selfnorm
 from eigenbreak.covkern import SplitSample, mode_weight, prefix_count, prefix_moments
 from eigenbreak.datagen import DGPSpec, generate, population_kernels
 from eigenbreak.eigensys import (
@@ -14,6 +14,7 @@ from eigenbreak.eigensys import (
     eigendecompose,
     gap_warning,
     operator_eigh,
+    prefix_eigenpairs,
 )
 from eigenbreak.funcspace import fourier_basis
 from eigenbreak.selfnorm import (
@@ -247,6 +248,8 @@ def test_pivot_validation():
         simulate_pivot(20, 0, 1)
     with pytest.raises(ValueError, match="K >= 2"):
         simulate_pivot(1, 10, 1)
+    with pytest.raises(ValueError, match="pivot seed must be nonnegative"):
+        simulate_pivot(20, 10, -1)
 
 
 def test_scale_equivariance_of_both_ratios(pivot):
@@ -544,8 +547,8 @@ def assert_paths_match_stack(split, p_max, nu, center, q):
 def short_segments(draw):
     """A split sample whose sub-samples run from below p to at least R rows."""
     # both regimes: shifted solves below _GRAM_MIN_DIM, eigh and Gram form from it on
-    r = draw(st.one_of(st.integers(3, selfnorm._GRAM_MIN_DIM - 1),
-                       st.integers(selfnorm._GRAM_MIN_DIM, selfnorm._GRAM_MIN_DIM + 8)))
+    r = draw(st.one_of(st.integers(3, eigensys._GRAM_MIN_DIM - 1),
+                       st.integers(eigensys._GRAM_MIN_DIM, eigensys._GRAM_MIN_DIM + 8)))
     p_max = draw(st.integers(1, r - 2))
     n1, n2 = (draw(st.integers(1, 3 * r)) for _ in range(2))
     mode = draw(st.sampled_from(["coeff", "grid"]))
@@ -610,7 +613,7 @@ def test_pairs_past_a_prefix_rank_get_zero_functions(r):
 # the ids name whether eigenfunctions are asked for: none, or the two tested
 @pytest.mark.parametrize("q", [0, 2], ids=["False", "True"])
 def test_gram_form_boundaries(monkeypatch, r, m, shapes, q):
-    # p_max = 2, so p = 3; the prefixes hold m and all 64 rows of the segment
+    # p = 3 pairs; the prefixes hold m and all 64 rows of the segment
     seen = []
     for name in ("eigh", "eigvalsh", "solve"):
         def record(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
@@ -619,7 +622,7 @@ def test_gram_form_boundaries(monkeypatch, r, m, shapes, q):
         monkeypatch.setattr(np.linalg, name, record)
     values = np.random.default_rng(m).standard_normal((64, r))
     lambdas = np.array([m / 64, 1.0])
-    vals, funcs = selfnorm._segment_paths(values, lambdas, 2, 1.0, False, q)
+    vals, funcs = prefix_eigenpairs(values, [m, 64], 1.0, 3, q)
     # without functions eigvalsh stands in for eigh and nothing is solved
     assert seen == [("eigvalsh" if name == "eigh" and not q else name, shape)
                     for name, shape in shapes if q or name != "solve"]
