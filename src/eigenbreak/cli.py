@@ -361,8 +361,8 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
                  pivot: PivotDistribution | str | os.PathLike | None = None) -> dict:
     """Change-point estimation plus relevance matrices for a daily-series file.
 
-    The sample is split at the CUSUM argmax (boundary trim ``epsilon``), the
-    segment kernels are mean-corrected, and two relevance matrices are
+    The sample is split at the CUSUM argmax (boundary trim ``epsilon``),
+    each segment is centred by its own mean, and two relevance matrices are
     tested: eigenfunction changes against thresholds 2 - 2*cos(angle) for
     each angle, and eigenvalue changes against thresholds tau_j / divisor
     where tau_j is the j-th pre-segment eigenvalue.  Cells report the
@@ -370,10 +370,10 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     rejected.  ``pivot`` is a PivotDistribution on the grid ``K``, the path
     of an existing quantile cache, or None for the default pivot's quantile
     summary, which decides as a default cache from ``eigenbreak quantiles``
-    does; it must hold at least 10 / min(alphas) draws.  It is resolved
-    only after the file yields enough years, and no file is written
-    outside ``out_dir``.  Both matrices' test paths come from one set of
-    sequential eigen paths through ``EigenPaths.diff``.
+    does; it must hold at least 10 / min(alphas) draws.  It is resolved only
+    after the file yields enough years, and no file is written outside
+    ``out_dir``.  Both matrices' test paths come from one set of sequential
+    eigen paths through ``EigenPaths.diff``.
 
     Returns the report dictionary; files are written when ``out_dir`` is set.
     """
@@ -385,16 +385,18 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     coeffs = ingest.series.coeffs
     cusum_input = coeffs - coeffs.mean(axis=0) if config.center_cusum else coeffs
     estimate = estimate_changepoint(cusum_input, config.epsilon)
-    split = SplitSample.at_index(coeffs, estimate.k_hat)
+    pre, post = coeffs[:estimate.k_hat], coeffs[estimate.k_hat:]
+    # every estimate below sees each segment minus its own full-segment mean
+    split = SplitSample(pre - pre.mean(axis=0), post - post.mean(axis=0))
     nu = NuMeasure(config.K)
 
-    pre_kernel = sequential_kernel(split.pre, 1.0, center=True)
-    post_kernel = sequential_kernel(split.post, 1.0, center=True)
+    pre_kernel = sequential_kernel(split.pre, 1.0)
+    post_kernel = sequential_kernel(split.post, 1.0)
     pre_system = eigendecompose(pre_kernel, pre_kernel.dim)
     post_system = eigendecompose(post_kernel, post_kernel.dim)
 
     paths = sequential_eigensystem_paths(split, max(config.j_fun, config.j_val), nu,
-                                         functions=config.j_fun, center=True)
+                                         functions=config.j_fun)
 
     def run_tests(path, deltas_by_label):
         norm = self_normalizer(path, nu)
@@ -561,16 +563,18 @@ def load_experiment_config(path, overrides: dict | None = None) -> tuple[Experim
     The file holds the fields of ExperimentConfig; an optional extra key
     ``epsilons`` requests a boundary-trim sweep.  Each value must have its
     field's JSON type: an integer for an ``int`` field, any number for a
-    ``float`` field, a boolean for ``center``, and an array for ``n_list``,
-    ``magnitudes``, ``tau`` and ``epsilons``.  The values, ``overrides``
-    (which skip the type check) and every sweep trim must then pass
-    ExperimentConfig's rules.  Unknown keys and invalid values are
-    reported by name before any replicate runs.
+    ``float`` field, and an array for ``n_list``, ``magnitudes``, ``tau``
+    and ``epsilons``.  The values, ``overrides`` (which skip the type
+    check) and every sweep trim must then pass ExperimentConfig's rules,
+    and a sweep needs at least one trim.  Unknown keys and invalid values
+    are reported by name before any replicate runs.
     """
     config, extras = _load_config(ExperimentConfig, path, overrides or {},
                                   {"epsilons": list[float]}, "config")
     epsilons = extras.get("epsilons")
     try:
+        if epsilons == []:
+            raise ValueError("'epsilons' must hold at least one boundary trim")
         for eps in epsilons or ():
             replace(config, epsilon=eps)
     except ValueError as exc:

@@ -116,9 +116,8 @@ def prefix_moments(values: np.ndarray, counts) -> np.ndarray:
     return out
 
 
-def sequential_kernel(segment, lam: float, *, mode: str = "coeff",
-                      center: bool = False) -> CovKernel:
-    """Second-moment kernel of the first floor(n*lambda) segment members.
+def sequential_kernel(segment, lam: float, *, mode: str = "coeff") -> CovKernel:
+    """Uncentred second-moment kernel of the first floor(n*lambda) segment members.
 
     Parameters
     ----------
@@ -129,9 +128,6 @@ def sequential_kernel(segment, lam: float, *, mode: str = "coeff",
         the zero kernel.
     mode : {'coeff', 'grid'}
         Representation of the rows.
-    center : bool
-        If true, subtract the mean of the *whole* segment (not of the
-        lambda-prefix) from every row before averaging outer products.
 
     Returns
     -------
@@ -141,8 +137,6 @@ def sequential_kernel(segment, lam: float, *, mode: str = "coeff",
     n = values.shape[0]
     if n < 1:
         raise ValueError("segment must contain at least one function")
-    if center:
-        values = values - values.mean(axis=0)
     return _build_kernel(prefix_moments(values, [prefix_count(n, lam)])[0], mode)
 
 
@@ -158,11 +152,10 @@ def kernel_distance_sq(c1: CovKernel, c2: CovKernel) -> float:
 
 @dataclass(frozen=True)
 class SplitSample:
-    """Sample partitioned at an estimated change point."""
+    """The two segments of a sample, before and after a change point."""
 
     pre: np.ndarray
     post: np.ndarray
-    theta_hat: float
     mode: str = "coeff"
 
     def __post_init__(self):
@@ -172,15 +165,9 @@ class SplitSample:
             raise ValueError("both parts of a split sample must be nonempty")
         if pre.shape[1] != post.shape[1]:
             raise ValueError("split parts must share their dimension")
-        if not 0.0 < self.theta_hat < 1.0:
-            raise ValueError(f"estimated change fraction must lie in (0,1), got {self.theta_hat}")
         mode_weight(self.mode, pre.shape[1])
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "post", post)
-
-    @property
-    def n_total(self) -> int:
-        return self.pre.shape[0] + self.post.shape[0]
 
     @classmethod
     def at_index(cls, sample, k: int, *, mode: str = "coeff") -> "SplitSample":
@@ -189,4 +176,4 @@ class SplitSample:
         n = values.shape[0]
         if not 1 <= k <= n - 1:
             raise ValueError(f"split index must lie in [1, {n - 1}], got {k}")
-        return cls(pre=values[:k], post=values[k:], theta_hat=k / n, mode=mode)
+        return cls(pre=values[:k], post=values[k:], mode=mode)

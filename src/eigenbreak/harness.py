@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 _CHUNK = 250
+#: equal-width bins on [0, 1] of each cell's theta_hat histogram in an epsilon sweep
+_HIST_BINS = 20
 
 
 def angle_for_distance_sq(dist_sq: float) -> float:
@@ -76,7 +78,6 @@ class ExperimentConfig:
     theta0: float = 0.5
     dependence: str = "iid"
     tau: tuple[float, ...] | None = None
-    center: bool = False
 
     def __post_init__(self):
         if self.test_kind not in PATH_KINDS:
@@ -208,7 +209,7 @@ def run_replicate(config: ExperimentConfig, n_obs: int, magnitude: float,
         estimate = estimate_changepoint(series.coeffs, config.epsilon)
         split = SplitSample.at_index(series.coeffs, estimate.k_hat)
         nu = NuMeasure(config.K)
-        path = diff_path(split, config.j, nu, config.test_kind, center=config.center)
+        path = diff_path(split, config.j, nu, config.test_kind)
         normalizer = self_normalizer(path, nu)
         pivot = cached_pivot(config.K)
         result = decide(path, normalizer, config.delta, pivot, config.alpha)
@@ -307,8 +308,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Reje
     return _tabulate(config, workers)[0]
 
 
-def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None,
-                  hist_bins: int = 20) -> EpsilonSweep:
+def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None) -> EpsilonSweep:
     """Repeat an experiment for several boundary trims and bin the estimates.
 
     Parameters
@@ -318,8 +318,6 @@ def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None
     epsilons : iterable of float
         Boundary trims to compare, at least one; every trim is checked
         before the first replicate runs.
-    hist_bins : int
-        Number of equal-width histogram bins on [0,1] for theta_hat.
 
     Returns
     -------
@@ -334,7 +332,7 @@ def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None
         table, cell_thetas = _tabulate(eps_config, workers)
         tables.append((eps_config.epsilon, table))
         for row, thetas in zip(table.rows, cell_thetas):
-            counts, edges = np.histogram(thetas, bins=hist_bins, range=(0.0, 1.0))
+            counts, edges = np.histogram(thetas, bins=_HIST_BINS, range=(0.0, 1.0))
             histograms.append(
                 HistogramData(
                     epsilon=eps_config.epsilon,

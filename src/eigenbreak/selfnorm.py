@@ -184,10 +184,24 @@ class PivotDistribution:
                     "# eigenbreak pivot quantile cache", "probability,quantile", "K", "R", "seed"]:
                 raise ValueError("its first three lines are not the header that save writes")
             K, R, seed = (int(value) for _, _, value in keys)
-            values = np.loadtxt(rows, delimiter=",", usecols=1, ndmin=1) if rows else np.empty(0)
+            values = _quantile_column(rows) if rows else np.empty(0)
             return cls(K=K, sample=values, seed=seed, R=R)
         except ValueError as exc:
             raise ValueError(f"{path} is not a pivot quantile cache: {exc}") from None
+
+
+def _quantile_column(rows: list[str]) -> np.ndarray:
+    """Quantiles of the cache rows from file line 4 on; a failure names its file line."""
+    try:
+        return np.loadtxt(rows, delimiter=",", usecols=1, ndmin=1)
+    except ValueError:  # loadtxt numbers the rows its own way
+        for line, row in enumerate(rows, start=4):
+            if row.partition("#")[0].strip():  # loadtxt skips blank and comment lines
+                try:
+                    np.loadtxt([row], delimiter=",", usecols=1)
+                except ValueError as exc:
+                    raise ValueError(f"line {line}: {str(exc).partition(' at row ')[0]}") from None
+        raise
 
 
 def simulate_pivot(K: int, R: int = DEFAULT_PIVOT_REPLICATES,
@@ -321,8 +335,8 @@ class EigenPaths:
 
 
 def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
-                                 *, functions: int, center: bool = False) -> EigenPaths:
-    """Eigen-decompose both segments' sequential kernels on the nu grid plus 1.
+                                 *, functions: int) -> EigenPaths:
+    """Eigen-decompose both segments' uncentred sequential kernels on the nu grid plus 1.
 
     One extra eigenvalue beyond ``p_max`` is kept when available so that
     eigen-gap degeneracy around the tested index can be diagnosed.  Only
@@ -342,8 +356,8 @@ def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
     lambdas = np.append(nu.points, 1.0)
     p = min(r, p_max + 1)
     (vals1, funcs1), (vals2, funcs2) = (
-        prefix_eigenpairs(rows - rows.mean(axis=0) if center else rows,
-                          [prefix_count(len(rows), lam) for lam in lambdas], weight, p, functions)
+        prefix_eigenpairs(rows, [prefix_count(len(rows), lam) for lam in lambdas],
+                          weight, p, functions)
         for rows in (split.pre, split.post))
     return EigenPaths(
         lambdas=lambdas,
@@ -356,32 +370,26 @@ def sequential_eigensystem_paths(split: SplitSample, p_max: int, nu: NuMeasure,
     )
 
 
-def diff_path(split: SplitSample, j: int, nu: NuMeasure, kind: str,
-              *, center: bool = False) -> DiffPath:
+def diff_path(split: SplitSample, j: int, nu: NuMeasure, kind: str) -> DiffPath:
     """Sequential squared-difference path of the j-th eigenpair of a split sample.
 
     Parameters
     ----------
     split : SplitSample
-        Sample partitioned at the estimated change point; each segment
-        needs at least 2 observations.
+        The two segments, whose rows the kernels average as given.
     j : int
         Eigen index, 1-based.
     nu : NuMeasure
         Weighting measure; the path is evaluated on its support plus 1.
     kind : {'eigenvalue', 'eigenfunction'}
         Which eigen-difference to track.
-    center : bool
-        Center each segment by its full-segment mean before estimating
-        kernels (for data with nonzero expectation).
 
     Returns
     -------
     DiffPath
     """
     return sequential_eigensystem_paths(
-        split, j, nu, functions=j if kind == "eigenfunction" else 0, center=center
-    ).diff(j, kind)
+        split, j, nu, functions=j if kind == "eigenfunction" else 0).diff(j, kind)
 
 
 def self_normalizer(path: DiffPath, nu: NuMeasure) -> float:

@@ -18,9 +18,15 @@ from eigenbreak.cli import (
     run_analysis,
     write_daily_csv,
 )
+from eigenbreak.covkern import SplitSample
 from eigenbreak.datagen import DGPSpec, generate
 from eigenbreak.funcspace import CoeffSeries, fourier_basis
-from eigenbreak.selfnorm import simulate_pivot
+from eigenbreak.selfnorm import (
+    NuMeasure,
+    self_normalizer,
+    sequential_eigensystem_paths,
+    simulate_pivot,
+)
 
 
 def test_parse_float_or_pi():
@@ -246,6 +252,8 @@ _BAD_EXPERIMENT_FIELDS = [
     # silently ran another experiment before types were checked
     ({"n_list": [200.5]}, "'n_list'"),
     ({"center": "no"}, "'center'"),
+    # a dropped field at its old default ran every replicate
+    ({"center": False}, "'center'"),
     ({"replicates": True}, "'replicates'"),
     # failed in replicate 0 with a RuntimeError traceback
     ({"K": 1}, "K >= 2"),
@@ -264,6 +272,8 @@ _BAD_EXPERIMENT_FIELDS = [
     ({"pivot_replicates": 3}, "'pivot_replicates'"),
     ({"epsilons": [True]}, "'epsilons'"),
     ({"epsilons": [0.05, 0.7]}, "boundary trim epsilon"),
+    # made the out dir, then failed with a message that named no file
+    ({"epsilons": []}, "'epsilons'"),
     # exited 1 with a message that named nothing
     ({"magnitudes": "0.1"}, "'magnitudes'"),
     ({"replicates": "10"}, "'replicates'"),
@@ -294,8 +304,9 @@ def test_simulate_refuses_invalid_config_before_any_replicate(tmp_path, capsys, 
     rc = main(["simulate", "--config", str(_figure1_with(tmp_path, field)),
                "--out-dir", str(out_dir), "--workers", "1"])
     assert rc == 1
-    assert message in capsys.readouterr().err
-    assert not (out_dir / "results.csv").exists()
+    assert not out_dir.exists()
+    err = capsys.readouterr().err
+    assert message in err and "figure1.json" in err
 
 
 @pytest.mark.parametrize("field", [{"magnitudes": [0, 1]}, {"tau": None}, {}],
@@ -408,6 +419,26 @@ def test_centred_analysis_ignores_the_level_of_the_data(tmp_path, small_pivot):
         assert [c["cell"] for c in moved[kind]] == [c["cell"] for c in plain[kind]]
         np.testing.assert_allclose([c["statistic"] for c in moved[kind]],
                                    [c["statistic"] for c in plain[kind]], rtol=1e-10)
+
+
+def test_analysis_centres_each_segment_by_its_full_mean(tmp_path, small_pivot):
+    # every lambda-prefix kernel of a segment subtracts the mean of the
+    # whole segment, not of its own prefix
+    series = generate(DGPSpec(N=40, T=9, break_kind="rotation", magnitude=math.pi / 2, seed=0))
+    csv_path = tmp_path / "rotated.csv"
+    write_daily_csv(series, 1950, csv_path)
+    config = AnalysisConfig(T=9, j_fun=5, j_val=9)
+    report = run_analysis(csv_path, None, config, small_pivot)
+    coeffs, k, nu = ingest_daily(csv_path, 9).series.coeffs, report["k_hat"], NuMeasure(20)
+    pre, post = coeffs[:k], coeffs[k:]
+    for split, same in ((SplitSample(pre - pre.mean(axis=0), post - post.mean(axis=0)), True),
+                        (SplitSample(pre, post), False)):
+        paths = sequential_eigensystem_paths(split, 9, nu, functions=5)
+        for kind, j_max in (("eigenfunction", 5), ("eigenvalue", 9)):
+            normalizers = {(j, self_normalizer(paths.diff(j, kind), nu))
+                           for j in range(1, j_max + 1)}
+            cells = {(c["j"], c["normalizer"]) for c in report[f"{kind}_tests"]}
+            assert (cells == normalizers) is same, kind
 
 
 def test_analysis_report_matrix_shapes(tmp_path, small_pivot):
@@ -696,15 +727,17 @@ def _quantile(text):
     return corrupt
 
 
-@pytest.mark.parametrize("corrupt", [
-    _quantile("nan"),  # decided every cell TRUE from a nan quantile
-    lambda lines: lines[:3] + lines[3:][::-1],  # read p-values from unsorted quantiles
+@pytest.mark.parametrize("corrupt, detail", [
+    (_quantile("nan"), ""),  # decided every cell TRUE from a nan quantile
+    (lambda lines: lines[:3] + lines[3:][::-1], ""),  # read p-values from unsorted quantiles
     # refused by a parse message that named no file
-    lambda lines: [lines[0], lines[1].replace("R=2000", "R=abc"), *lines[2:]],
-    _quantile("x"),
-    lambda lines: ["one line of text\n"],
+    (lambda lines: [lines[0], lines[1].replace("R=2000", "R=abc"), *lines[2:]], ""),
+    # named loadtxt's row 998 instead of the file's line: 3 header lines + 2000 rows
+    (_quantile("x"), ": line 1002: could not convert string 'x'"),
+    (lambda lines: ["one line of text\n"], ""),
 ], ids=["nan", "reversed", "header-R", "quantile-x", "one-line"])
-def test_analyze_refuses_a_corrupt_quantile_cache(tmp_path, capsys, ten_year_csv, corrupt):
+def test_analyze_refuses_a_corrupt_quantile_cache(tmp_path, capsys, ten_year_csv, corrupt,
+                                                  detail):
     _, cache = ten_year_csv
     bad = tmp_path / "corrupt.csv"
     bad.write_text("".join(corrupt(cache.read_text().splitlines(keepends=True))))
@@ -712,7 +745,7 @@ def test_analyze_refuses_a_corrupt_quantile_cache(tmp_path, capsys, ten_year_csv
     rc = main(["analyze", "--csv", str(ten_year_csv[0]), "--T", "5", "--j-val", "5",
                "--quantile-cache", str(bad), "--out-dir", str(out_dir)])
     assert rc == 1
-    assert f"{bad} is not a pivot quantile cache" in capsys.readouterr().err
+    assert f"{bad} is not a pivot quantile cache{detail}" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -204,9 +204,10 @@ def test_table_and_sweep_bytes_are_golden(tmp_path):
         eps_table.to_csv(tmp_path / f"sweep_{eps}.csv")
     assert sha256(tmp_path / "table.csv") == (
         "f1801946670ee6ac3547d8ab60f28e0ab208d04b58d72ae50226537d78a68778")
-    # re-recorded when the config echo lost its two pivot fields: rows unchanged
+    # re-recorded when the config echo lost its two pivot fields, then "center":
+    # rows unchanged but for the config_hash they carry
     assert sha256(tmp_path / "table.json") == (
-        "3cd44244f7d67a54e924bea237f669ee6a7b96b9e6eb0feea78918487ca83c14")
+        "eea83fbde5e90e57c745b97bebbaa0c7cab49f850e38acc20fec7b7a4d46e74e")
     assert sha256(tmp_path / "histograms.csv") == (
         "e7b6aaff02087e26be10894a2d4e07814c2044038db4a7a7cc8e3fbbbb9ffda4")
     assert sha256(tmp_path / "sweep_0.0.csv") == (

@@ -55,7 +55,7 @@ def test_nu_measure_support():
 def test_identical_segments_give_zero_eigenvalue_path():
     row = np.array([1.0, -0.5, 0.25])
     values = np.tile(row, (16, 1))
-    split = SplitSample(pre=values[:8], post=values[8:], theta_hat=0.5)
+    split = SplitSample(pre=values[:8], post=values[8:])
     path = diff_path(split, 1, NU, "eigenvalue")
     np.testing.assert_allclose(path.values, np.zeros(20), atol=1e-15)
 
@@ -511,27 +511,32 @@ def test_eigen_statistics_agree_in_coeff_and_grid_mode(sample, extra_nodes):
                             eigen_statistics(coeffs, k, j), UNCHANGED)
 
 
-def stack_paths(segment, lambdas, p, weight, center, q):
+def centred(split):
+    """The split with each segment minus its full-segment mean, as ``analyze`` builds it."""
+    return SplitSample(split.pre - split.pre.mean(axis=0), split.post - split.post.mean(axis=0),
+                       mode=split.mode)
+
+
+def stack_paths(segment, lambdas, p, weight, q):
     """Reference eigen paths: every prefix kernel through the R x R stack."""
-    values = segment - segment.mean(axis=0) if center else segment
-    counts = [prefix_count(len(values), lam) for lam in lambdas]
-    vals, funcs = operator_eigh(prefix_moments(values, counts), weight, p, q)
+    counts = [prefix_count(len(segment), lam) for lam in lambdas]
+    vals, funcs = operator_eigh(prefix_moments(segment, counts), weight, p, q)
     empty = np.asarray(counts) == 0
     vals[empty] = 0.0
     funcs[empty] = 0.0
     return vals, funcs
 
 
-def assert_paths_match_stack(split, p_max, nu, center, q):
+def assert_paths_match_stack(split, p_max, nu, q):
     """Eigen paths agree with the stack: eigenvalues to 1e-10 of the leading
     one, the q tested eigenfunctions by sign-free distance wherever the gap is clear."""
-    paths = sequential_eigensystem_paths(split, p_max, nu, functions=q, center=center)
+    paths = sequential_eigensystem_paths(split, p_max, nu, functions=q)
     r = split.pre.shape[1]
     weight = mode_weight(split.mode, r)
     p = min(r, p_max + 1)
     for segment, vals, funcs in ((split.pre, paths.values1, paths.functions1),
                                  (split.post, paths.values2, paths.functions2)):
-        ref_vals, ref_funcs = stack_paths(segment, paths.lambdas, p, weight, center, q)
+        ref_vals, ref_funcs = stack_paths(segment, paths.lambdas, p, weight, q)
         scale = np.abs(ref_vals[:, :1])
         assert np.all(np.abs(vals - ref_vals) <= 1e-10 * scale)
         assert funcs.shape == ref_funcs.shape == (paths.lambdas.size, q, r)
@@ -560,7 +565,9 @@ def short_segments(draw):
 @given(sample=short_segments(), center=st.booleans(), data=st.data())
 def test_gram_form_agrees_with_the_kernel_stack(sample, center, data):
     split, p_max = sample
-    assert_paths_match_stack(split, p_max, NU, center, data.draw(st.integers(0, p_max)))
+    # centred segments have rank at most n - 1
+    assert_paths_match_stack(centred(split) if center else split, p_max, NU,
+                             data.draw(st.integers(0, p_max)))
 
 
 @pytest.mark.parametrize("mode, r, axes", [
@@ -577,9 +584,11 @@ def test_gram_form_of_repeated_rows(mode, r, axes, center):
             else np.random.default_rng(23).standard_normal((20, r)))
     values = np.repeat(rows, 2, axis=0)
     split = SplitSample.at_index(values, 24, mode=mode)
+    if center:
+        split = centred(split)
     for p_max in (1, 3, 6):
-        assert_paths_match_stack(split, p_max, NU, center, p_max)
-        paths = sequential_eigensystem_paths(split, p_max, NU, functions=p_max, center=center)
+        assert_paths_match_stack(split, p_max, NU, p_max)
+        paths = sequential_eigensystem_paths(split, p_max, NU, functions=p_max)
         assert np.all(np.isfinite(paths.functions1)) and np.all(np.isfinite(paths.functions2))
 
 
@@ -591,8 +600,8 @@ def test_pairs_past_a_prefix_rank_get_zero_functions(r):
     # 0.05, where the segments' prefixes hold 4 and 1 rows, and a unit
     # function with a zero one at 0.10 and 0.15
     values = np.random.default_rng(5).standard_normal((123, r))
-    paths = sequential_eigensystem_paths(SplitSample.at_index(values, 92), 5, NU, functions=5,
-                                         center=True)
+    paths = sequential_eigensystem_paths(centred(SplitSample.at_index(values, 92)), 5, NU,
+                                         functions=5)
     for n, funcs in ((92, paths.functions1), (31, paths.functions2)):
         counts = np.array([prefix_count(n, lam) for lam in paths.lambdas])
         norms = np.sum(funcs**2, axis=2)
@@ -627,7 +636,7 @@ def test_gram_form_boundaries(monkeypatch, r, m, shapes, q):
     assert seen == [("eigvalsh" if name == "eigh" and not q else name, shape)
                     for name, shape in shapes if q or name != "solve"]
     monkeypatch.undo()
-    ref_vals, ref_funcs = stack_paths(values, lambdas, 3, 1.0, False, q)
+    ref_vals, ref_funcs = stack_paths(values, lambdas, 3, 1.0, q)
     np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0.0)
     assert funcs.shape == ref_funcs.shape == (2, q, r)
     np.testing.assert_allclose(aligned_distance_sq(funcs, ref_funcs), 0.0, atol=1e-14)
