@@ -122,7 +122,11 @@ def objective_curve(sample, *, mode: str = "coeff") -> np.ndarray:
     Either way it holds O(R^2 + N) floats plus blocks of at most
     SCAN_BLOCK_BYTES, never an (N, R, R) array.
     """
-    values = as_matrix(sample, mode)
+    return _objective_curve(as_matrix(sample, mode), mode)
+
+
+def _objective_curve(values: np.ndarray, mode: str) -> np.ndarray:
+    """:func:`objective_curve` of rows that :func:`as_matrix` has checked."""
     n, r = values.shape
     if n < 2:
         raise ValueError("the objective needs at least two observations")
@@ -181,7 +185,7 @@ def estimate_changepoint(sample, epsilon: float = 0.05, *,
     if n < 4:
         raise ValueError(f"change point estimation needs at least 4 observations, got {n}")
     lo, hi = search_range(n, epsilon)
-    curve = objective_curve(values, mode=mode)
+    curve = _objective_curve(values, mode)
     ks = np.arange(lo, hi + 1)
     restricted = curve[lo - 1 : hi]
     k_hat = int(ks[int(np.argmax(restricted))])

@@ -38,7 +38,12 @@ SHIFT_EPS = 1024
 #: while from R=31 on the Gram form of m <= 3R/4 rows takes half or less.
 #: The stack of a smaller kernel takes eigvalsh plus shifted solves (20
 #: prefixes of R=21: 0.4 + 2 x 0.1 ms against 1.1 ms for eigh); from this
-#: R on eigh stays, as the solves lost on Gram blocks of rank <= 21
+#: R on eigh stays, as the solves lost on Gram blocks of rank <= 21.  There
+#: a segment of numerical rank d < R takes its Gram-form prefixes to one
+#: d x d eigh stack in its row space: on 200-node rows of rank 21, 19 Gram
+#: blocks of up to 190 x 190 become 19 matrices of 21 x 21.  The stack uses
+#: eigh, not the shifted solves, whatever d: for 7 and 10 prefixes at d = 21
+#: and q = 5, the solves took 0.46 and 0.67 ms, eigh 0.27 and 0.40 ms
 _GRAM_MIN_DIM = 32
 
 
@@ -174,28 +179,90 @@ def prefix_eigenpairs(rows: np.ndarray, counts, weight: float, p: int, q: int):
     keeps every prefix in one R x R stack and takes :func:`_shifted_eigh`.
     From that R on, :func:`operator_eigh` runs: a prefix of m rows with
     p <= m < R goes through the leading m x m block of one Gram matrix of
-    the rows, and the other prefixes through the stack.  Empty prefixes
-    and unidentified pairs (eigenvalue at round-off) get zero functions.
+    the rows, and the other prefixes through the stack.  The longest
+    prefix is decomposed first, and its spectrum shows whether the rows
+    are rank-deficient.  If so, and an SVD of its rows finds a numerical
+    rank p <= d < R (numpy's ``matrix_rank`` rule) while a Gram-form
+    prefix holds more than d rows, the other Gram-form prefixes go instead
+    through one d x d stack of their kernels in the rows' coordinates on
+    the row space, and their eigenfunctions are mapped back.  Every prefix
+    kernel's range lies in that row space but for singular values of at
+    most s_1 max(n, R) eps, so this is exact up to rounding.  Empty
+    prefixes and unidentified pairs (eigenvalue at round-off) get zero
+    functions.
     """
     counts = np.asarray(counts, dtype=int)
-    r = rows.shape[1]
     vals = np.zeros((counts.size, p))
-    funcs = np.zeros((counts.size, q, r))
-    # the counts do not decrease, so the Gram-form prefixes are one run
-    dual = (counts >= p) & (counts < r) & (r >= _GRAM_MIN_DIM)
-    stacked = np.flatnonzero((counts > 0) & ~dual)
-    stack_eigh = _shifted_eigh if r < _GRAM_MIN_DIM else operator_eigh
-    pairs = [(stacked, stack_eigh(prefix_moments(rows, counts[stacked]), weight, p, q))]
-    if dual.any():
-        head = rows[: counts[dual][-1]]
-        gram = head @ head.T
-        pairs += [(i, _gram_eigh(head[:m], gram[:m, :m], weight, p, q))
-                  for i, m in zip(np.flatnonzero(dual), counts[dual])]
-    for at, (v, f) in pairs:
+    funcs = np.zeros((counts.size, q, rows.shape[1]))
+    for at, (v, f) in _prefix_forms(rows, counts, weight, p, q):
         vals[at] = v
         funcs[at] = f
     funcs[_unidentified(vals)[:, :q]] = 0.0
     return vals, funcs
+
+
+def _prefix_forms(rows: np.ndarray, counts: np.ndarray, weight: float, p: int, q: int):
+    """Yield ``(at, (values, functions))`` parts that together cover every nonempty prefix.
+
+    ``at`` indexes ``counts``: an index array for a stack, an int for one
+    Gram-form prefix.  See :func:`prefix_eigenpairs` for the forms.
+    """
+    r = rows.shape[1]
+    if r < _GRAM_MIN_DIM:
+        at = np.flatnonzero(counts > 0)
+        yield at, _shifted_eigh(prefix_moments(rows, counts[at]), weight, p, q)
+        return
+    # the counts do not decrease, so the Gram-form prefixes are one run
+    dual = (counts >= p) & (counts < r)
+    at = np.flatnonzero((counts > 0) & ~dual)
+    values, functions = operator_eigh(prefix_moments(rows, counts[at]), weight, r, q)
+    yield at, (values[:, :p], functions)
+    dual = np.flatnonzero(dual)
+    if not dual.size:
+        return
+    head = rows[: counts[dual[-1]]]
+    gram = None
+    if dual[-1] < counts.size - 1:
+        spectrum = values[-1]  # of the longest prefix, the last in the stack
+    else:
+        # the longest prefix takes the Gram form: it goes first, for its spectrum
+        gram = head @ head.T
+        spectrum, functions = _gram_eigh(head, gram, weight, len(head), q)
+        yield dual[-1], (spectrum[:p], functions)
+        dual = dual[:-1]
+        if not dual.size:
+            return
+    basis = _row_space(rows[: counts[-1]], spectrum, counts[dual[-1]], p)
+    if basis is not None:
+        values, functions = operator_eigh(prefix_moments(head @ basis.T, counts[dual]),
+                                          weight, p, q)
+        yield dual, (values, functions @ basis)
+        return
+    if gram is None:
+        gram = head @ head.T
+    for i in dual:
+        m = counts[i]
+        yield i, _gram_eigh(head[:m], gram[:m, :m], weight, p, q)
+
+
+def _row_space(rows: np.ndarray, spectrum: np.ndarray, longest: int, p: int):
+    """Orthonormal rows (d, R) spanning the numerical row space of ``rows``, where that pays.
+
+    ``spectrum`` holds the descending eigenvalues of the rows' kernel, and
+    ``longest`` is the longest prefix still to solve.  Without an SVD,
+    returns None unless p to ``longest`` - 1 eigenvalues are clear of
+    round-off; then None unless the singular values s of the rows give
+    p <= d < ``longest``, d counting s > s_1 * max(n, R) * eps as numpy's
+    ``matrix_rank`` does.
+    """
+    probe = np.count_nonzero(~_unidentified(spectrum))
+    if not p <= probe < longest:
+        return None
+    _, s, vt = np.linalg.svd(rows, full_matrices=False)
+    d = np.count_nonzero(s > s[0] * max(rows.shape) * np.finfo(float).eps)
+    if not p <= d < longest:
+        return None
+    return vt[:d]
 
 
 def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:

@@ -212,6 +212,16 @@ def test_estimate_validation():
         estimate_changepoint(np.ones((3, 2)), 0.05)
 
 
+def test_estimate_refuses_a_sample_with_a_nan():
+    # the scan would otherwise return a split with a nan objective
+    values = np.random.default_rng(3).standard_normal((60, 21))
+    values[17, 4] = np.nan
+    with pytest.raises(ValueError, match="sample row 17 "):
+        estimate_changepoint(values, 0.05)
+    with pytest.raises(ValueError, match="sample row 17 "):
+        objective_curve(values)
+
+
 @PROPERTY
 @given(data=st.data())
 def test_blocked_scan_matches_oracle_across_ragged_blocks(data):

@@ -6,6 +6,7 @@ import pytest
 from eigenbreak.covkern import (
     CovKernel,
     SplitSample,
+    as_matrix,
     kernel_distance_sq,
     prefix_count,
     prefix_moments,
@@ -166,3 +167,22 @@ def test_split_sample_construction():
     assert [f.name for f in fields(split)] == ["pre", "post", "mode"]
     with pytest.raises(ValueError, match="split index"):
         SplitSample.at_index(values, 10)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rows_are_refused_by_index(bad):
+    values = np.arange(40.0).reshape(10, 4)
+    values[6, 2] = bad
+    values[8, 0] = bad
+    for mode in ("coeff", "grid"):
+        with pytest.raises(ValueError, match=r"sample row 6 \(counting from 0\) holds a non-finite"):
+            as_matrix(values, mode)
+        with pytest.raises(ValueError, match="sample row 6 "):
+            SplitSample.at_index(values, 3, mode=mode)
+        with pytest.raises(ValueError, match="sample row 6 "):
+            sequential_kernel(values, 0.5, mode=mode)
+    # built directly, the rows are numbered through pre, then post
+    with pytest.raises(ValueError, match="sample row 6 "):
+        SplitSample(pre=values[:5], post=values[5:])
+    with pytest.raises(ValueError, match="sample row 0 "):
+        SplitSample(pre=values[6:], post=values[:6])

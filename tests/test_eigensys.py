@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eigenbreak
 from eigenbreak.covkern import CovKernel, kernel_distance_sq, sequential_kernel
 from eigenbreak.eigensys import aligned_distance_sq, eigendecompose, gap_warning
 from eigenbreak.funcspace import fourier_basis
@@ -130,3 +136,34 @@ def test_gap_warning_on_degenerate_pair():
     assert gap_warning(np.array([1.0, 0.5, 0.25]), 2) is None
     with pytest.raises(ValueError, match="outside"):
         gap_warning(np.array([1.0]), 2)
+
+
+#: run in a fresh interpreter: the modules loaded at start-up (site hooks
+#: may load third-party packages) are the baseline, so only what importing
+#: eigenbreak and one reduced-form grid path add is counted; modules with no
+#: file, such as ``__mp_main__`` and Cython's ``cython_runtime``, are no packages
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import numpy as np
+import eigenbreak, eigenbreak.cli
+from eigenbreak.funcspace import fourier_basis
+svd, calls = np.linalg.svd, []
+np.linalg.svd = lambda *args, **kwargs: calls.append(1) or svd(*args, **kwargs)
+values = np.random.default_rng(5).standard_normal((60, 5)) @ fourier_basis(5, 40).eval_matrix.T
+split = eigenbreak.SplitSample.at_index(values, 30, mode="grid")
+eigenbreak.diff_path(split, 1, eigenbreak.NuMeasure(20), "eigenfunction")
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+loaded = {name for name in added if getattr(sys.modules.get(name), "__file__", None)}
+print(len(calls), *sorted(loaded - set(sys.stdlib_module_names)))
+"""
+
+
+def test_eigenbreak_loads_numpy_and_no_other_dependency():
+    # a rank-5 grid sample at R=40 takes the SVD of the reduced form
+    src = str(Path(eigenbreak.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[0] == "2"
+    assert out[1:] == ["eigenbreak", "numpy"]

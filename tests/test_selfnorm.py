@@ -52,6 +52,15 @@ def test_nu_measure_support():
         NuMeasure(1)
 
 
+@pytest.mark.parametrize("r, mode, bad", [(21, "coeff", np.nan), (40, "grid", np.inf)])
+def test_non_finite_rows_stop_before_the_eigen_paths(r, mode, bad):
+    # the eigen steps would fail with "Eigenvalues did not converge"
+    values = np.random.default_rng(r).standard_normal((60, r))
+    values[41, 3] = bad
+    with pytest.raises(ValueError, match="sample row 41 "):
+        diff_path(SplitSample.at_index(values, 30, mode=mode), 1, NU, "eigenfunction")
+
+
 def test_identical_segments_give_zero_eigenvalue_path():
     row = np.array([1.0, -0.5, 0.25])
     values = np.tile(row, (16, 1))
@@ -610,6 +619,74 @@ def test_pairs_past_a_prefix_rank_get_zero_functions(r):
     np.testing.assert_allclose(path.values[:3], [0.0, 1.0, 1.0], rtol=1e-12, atol=0.0)
 
 
+@st.composite
+def low_rank_wide_segments(draw):
+    """A split sample of grid values of Fourier coefficients, of rank <= order < M = R."""
+    m = draw(st.integers(eigensys._GRAM_MIN_DIM, 60))
+    order = draw(st.sampled_from(range(1, m // 2 + 2, 2)))
+    p_max = draw(st.integers(1, min(order + 2, m - 2)))
+    # each segment holds from a few rows to twice R
+    n1, n2 = (draw(st.integers(1, 2 * m)) for _ in range(2))
+    mode = draw(st.sampled_from(["coeff", "grid"]))
+    coeffs = np.random.default_rng(draw(SEEDS)).standard_normal((n1 + n2, order))
+    values = coeffs @ fourier_basis(order, m).eval_matrix.T
+    return SplitSample.at_index(values, n1, mode=mode), p_max
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sample=low_rank_wide_segments(), center=st.booleans(), data=st.data())
+def test_reduced_form_agrees_with_the_kernel_stack(sample, center, data):
+    split, p_max = sample
+    assert_paths_match_stack(centred(split) if center else split, p_max, NU,
+                             data.draw(st.integers(0, p_max)))
+
+
+@pytest.mark.parametrize("mode", ["coeff", "grid"])
+@pytest.mark.parametrize("center", [False, True])
+def test_reduced_form_of_a_row_space_of_32_or_more_dimensions(monkeypatch, mode, center):
+    # order 37 on 76 nodes: the 10 Gram-form prefixes of 7 to 75 rows become one stack
+    coeffs = np.random.default_rng(37).standard_normal((300, 37))
+    split = SplitSample.at_index(coeffs @ fourier_basis(37, 76).eval_matrix.T, 150, mode=mode)
+    if center:
+        split = centred(split)
+    seen = record_linalg(monkeypatch)
+    sequential_eigensystem_paths(split, 4, NU, functions=2)
+    assert seen.count(("svd", (150, 76))) == seen.count(("eigh", (10, 37, 37))) == 2
+    monkeypatch.undo()
+    assert_paths_match_stack(split, 4, NU, 2)
+
+
+@pytest.mark.parametrize("factor, rank", [(2.0, 6), (0.5, 5)], ids=["above", "below"])
+def test_reduced_rank_follows_numpys_rank_rule(monkeypatch, factor, rank):
+    # five clear singular values and a sixth at twice or half the rank
+    # tolerance s_1 * max(n, R) * eps: the row space has 6 or 5 dimensions
+    rng = np.random.default_rng(29)
+    n, r = 64, 40
+    u = np.linalg.qr(rng.standard_normal((n, 6)))[0]
+    v = np.linalg.qr(rng.standard_normal((r, 6)))[0]
+    s = np.array([1.0, 0.8, 0.6, 0.4, 0.2, factor * max(n, r) * np.finfo(float).eps])
+    values = (u * s) @ v.T
+    assert np.linalg.matrix_rank(values) == rank
+    split = SplitSample.at_index(np.vstack([values, values[::-1]]), n)
+    seen = record_linalg(monkeypatch)
+    sequential_eigensystem_paths(split, 2, NU, functions=2)
+    # per segment, the 12 prefixes of 3 to 38 rows are solved in the row space
+    assert seen.count(("eigh", (12, rank, rank))) == 2
+    monkeypatch.undo()
+    assert_paths_match_stack(split, 2, NU, 2)
+
+
+def record_linalg(monkeypatch):
+    """List of (name, shape of the first argument) of the LAPACK-backed calls made from now on."""
+    seen = []
+    for name in ("eigh", "eigvalsh", "solve", "svd"):
+        def record(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    return seen
+
+
 @pytest.mark.parametrize("r, m, shapes", [
     (32, 2, [("eigh", (2, 32, 32))]),                        # m = p - 1: the stack
     (32, 3, [("eigh", (1, 32, 32)), ("eigh", (3, 3))]),      # m = p: the Gram form
@@ -622,21 +699,47 @@ def test_pairs_past_a_prefix_rank_get_zero_functions(r):
 # the ids name whether eigenfunctions are asked for: none, or the two tested
 @pytest.mark.parametrize("q", [0, 2], ids=["False", "True"])
 def test_gram_form_boundaries(monkeypatch, r, m, shapes, q):
-    # p = 3 pairs; the prefixes hold m and all 64 rows of the segment
-    seen = []
-    for name in ("eigh", "eigvalsh", "solve"):
-        def record(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-            seen.append((_name, np.shape(a)))
-            return _fn(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, record)
-    values = np.random.default_rng(m).standard_normal((64, r))
-    lambdas = np.array([m / 64, 1.0])
-    vals, funcs = prefix_eigenpairs(values, [m, 64], 1.0, 3, q)
+    # p = 3 pairs; the prefixes hold m and all 64 rows of the segment; full
+    # rank, so no SVD runs
+    vals, ref_vals = assert_calls_match(
+        monkeypatch, np.random.default_rng(m).standard_normal((64, r)), m, shapes, q)
+    np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0.0)
+
+
+def assert_calls_match(monkeypatch, values, m, shapes, q):
+    """Prefixes of m and all rows, p = 3: the calls made are ``shapes``, the functions the stack's.
+
+    Returns the eigenvalues and the stack's, for the caller to compare.
+    """
+    seen = record_linalg(monkeypatch)
+    lambdas = np.array([m / len(values), 1.0])
+    vals, funcs = prefix_eigenpairs(values, [m, len(values)], 1.0, 3, q)
     # without functions eigvalsh stands in for eigh and nothing is solved
     assert seen == [("eigvalsh" if name == "eigh" and not q else name, shape)
                     for name, shape in shapes if q or name != "solve"]
     monkeypatch.undo()
     ref_vals, ref_funcs = stack_paths(values, lambdas, 3, 1.0, q)
-    np.testing.assert_allclose(vals, ref_vals, rtol=1e-10, atol=0.0)
-    assert funcs.shape == ref_funcs.shape == (2, q, r)
+    assert funcs.shape == ref_funcs.shape == (2, q, values.shape[1])
     np.testing.assert_allclose(aligned_distance_sq(funcs, ref_funcs), 0.0, atol=1e-14)
+    return vals, ref_vals
+
+
+@pytest.mark.parametrize("rank, shapes", [
+    # full rank: the stack of the 64-row prefix and the Gram block of 20 rows
+    (40, [("eigh", (1, 40, 40)), ("eigh", (20, 20))]),
+    # rank 5: the stack shows round-off eigenvalues, an SVD gives d = 5, and
+    # the 20-row prefix is solved in 5 dimensions
+    (5, [("eigh", (1, 40, 40)), ("svd", (64, 40)), ("eigh", (1, 5, 5))]),
+    # rank 2 < p = 3: no SVD, today's Gram block
+    (2, [("eigh", (1, 40, 40)), ("eigh", (20, 20))]),
+], ids=["full-rank", "rank-5", "rank-below-p"])
+@pytest.mark.parametrize("q", [0, 2], ids=["False", "True"])
+def test_reduced_form_boundaries(monkeypatch, rank, shapes, q):
+    rng = np.random.default_rng(rank)
+    values = rng.standard_normal((64, rank)) @ rng.standard_normal((rank, 40))
+    vals, ref_vals = assert_calls_match(monkeypatch, values, 20, shapes, q)
+    # eigenvalues to 1e-10 relative, but those at round-off, which rank 2
+    # and 5 give, to 1e-10 of the leading one
+    identified = ref_vals > 1e-10 * ref_vals[:, :1]
+    assert np.all(np.abs(vals - ref_vals)
+                  <= 1e-10 * np.where(identified, ref_vals, ref_vals[:, :1]))
