@@ -8,21 +8,9 @@ the normalized statistic into level-alpha decisions for hypotheses of the
 form "squared change <= threshold".
 """
 
-from .changepoint import (
-    ChangePointEstimate,
-    cusum_objective,
-    estimate_changepoint,
-    objective_curve,
-)
-from .covkern import CovKernel, SplitSample, kernel_distance_sq, sequential_kernel
-from .datagen import (
-    DGPSpec,
-    apply_eigenvalue_break,
-    apply_rotation_break,
-    generate,
-    population_kernels,
-)
-from .eigensys import EigenSystem, eigendecompose
+from .changepoint import ChangePointEstimate, estimate_changepoint, objective_curve
+from .covkern import SplitSample
+from .datagen import DGPSpec, apply_eigenvalue_break, apply_rotation_break, generate
 from .funcspace import (
     CoeffSeries,
     FourierBasis,
@@ -55,14 +43,8 @@ __all__ = [
     "inner_product",
     "synthesize",
     "project",
-    "CovKernel",
     "SplitSample",
-    "sequential_kernel",
-    "kernel_distance_sq",
-    "EigenSystem",
-    "eigendecompose",
     "ChangePointEstimate",
-    "cusum_objective",
     "objective_curve",
     "estimate_changepoint",
     "NuMeasure",
@@ -77,7 +59,6 @@ __all__ = [
     "generate",
     "apply_eigenvalue_break",
     "apply_rotation_break",
-    "population_kernels",
     "ExperimentConfig",
     "RejectionTable",
     "run_experiment",

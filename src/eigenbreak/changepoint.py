@@ -11,7 +11,6 @@ from .covkern import FLOOR_GUARD, as_matrix, mode_weight
 
 __all__ = [
     "ChangePointEstimate",
-    "cusum_objective",
     "objective_curve",
     "estimate_changepoint",
 ]
@@ -136,18 +135,6 @@ def _objective_curve(values: np.ndarray, mode: str) -> np.ndarray:
         return weight**2 * _deviation_norms(values) / (ks * (n - ks))
     dist_sq = weight**2 * _gram_distances(values)
     return ks * (n - ks) / n**2 * dist_sq
-
-
-def cusum_objective(sample, k: int, *, mode: str = "coeff") -> float:
-    """Weighted squared kernel distance between the first k and last N-k observations."""
-    values = as_matrix(sample, mode)
-    n = values.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split index must lie in [1, {n - 1}], got {k}")
-    weight = mode_weight(mode, values.shape[1])
-    head, tail = values[:k], values[k:]
-    diff = head.T @ head / k - tail.T @ tail / (n - k)
-    return float(k * (n - k) / n**2 * weight**2 * np.sum(diff * diff))
 
 
 def search_range(n: int, epsilon: float) -> tuple[int, int]:

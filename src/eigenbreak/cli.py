@@ -30,11 +30,11 @@ from operator import itemgetter
 import numpy as np
 
 from .changepoint import estimate_changepoint, search_range
-from .covkern import SplitSample, sequential_kernel
+from .covkern import SplitSample, prefix_moments
 from .datagen import BREAK_KINDS, DEPENDENCES, DGPSpec, generate
 from .eigensys import eigendecompose
 from .funcspace import CoeffSeries, _least_squares, fourier_basis
-from .harness import ExperimentConfig, epsilon_sweep, run_experiment
+from .harness import ExperimentConfig, _resolve_workers, epsilon_sweep, run_experiment
 from .selfnorm import (
     DEFAULT_K,
     DEFAULT_PIVOT_REPLICATES,
@@ -390,10 +390,10 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     split = SplitSample(pre - pre.mean(axis=0), post - post.mean(axis=0))
     nu = NuMeasure(config.K)
 
-    pre_kernel = sequential_kernel(split.pre, 1.0)
-    post_kernel = sequential_kernel(split.post, 1.0)
-    pre_system = eigendecompose(pre_kernel, pre_kernel.dim)
-    post_system = eigendecompose(post_kernel, post_kernel.dim)
+    # each segment's full spectrum, from its one moment matrix
+    (pre_values, pre_functions), (post_values, post_functions) = (
+        eigendecompose(prefix_moments(seg, [len(seg)])[0], 1.0, config.T)
+        for seg in (split.pre, split.post))
 
     paths = sequential_eigensystem_paths(split, max(config.j_fun, config.j_val), nu,
                                          functions=config.j_fun)
@@ -432,7 +432,7 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
     for j in range(1, config.j_val + 1):
         path = paths.diff(j, "eigenvalue")
         # the kernel is PSD: past the pre-segment's rank, tau_j is round-off
-        tau_pre = max(0.0, float(pre_system.eigenvalues[j - 1]))
+        tau_pre = max(0.0, float(pre_values[j - 1]))
         deltas = [(f"divisor={d}", tau_pre / d) for d in config.divisors]
         eigenvalue_cells.extend(run_tests(path, deltas))
 
@@ -452,8 +452,8 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
         "last_pre_year": ingest.years[estimate.k_hat - 1],
         "first_post_year": ingest.years[estimate.k_hat],
         "eigenvalues": {
-            "pre": [float(v) for v in pre_system.eigenvalues],
-            "post": [float(v) for v in post_system.eigenvalues],
+            "pre": [float(v) for v in pre_values],
+            "post": [float(v) for v in post_values],
         },
         "eigenfunction_tests": eigenfunction_cells,
         "eigenvalue_tests": eigenvalue_cells,
@@ -469,7 +469,8 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
                           "angle", [repr(a) for a in config.angles], config.j_fun)
         _write_matrix_csv(os.path.join(out_dir, "eigenvalue_table.csv"), eigenvalue_cells,
                           "divisor", [str(d) for d in config.divisors], config.j_val)
-        _write_segment_eigendata(out_dir, ingest.series.basis, pre_system, post_system)
+        _write_segment_eigendata(out_dir, ingest.series.basis, (pre_values, pre_functions),
+                                 (post_values, post_functions))
     return report
 
 
@@ -482,19 +483,20 @@ def _write_matrix_csv(path, cells, row_name, row_values, j_max) -> None:
             fh.write(value + "," + ",".join(grades) + "\n")
 
 
-def _write_segment_eigendata(out_dir, basis, pre_system, post_system) -> None:
+def _write_segment_eigendata(out_dir, basis, pre, post) -> None:
+    """Write the eigenvalues and first five eigenfunctions of ``(values, functions)`` pairs."""
     with open(os.path.join(out_dir, "eigenvalues.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("segment,j,eigenvalue\n")
-        for name, system in (("pre", pre_system), ("post", post_system)):
-            for j, value in enumerate(system.eigenvalues, start=1):
+        for name, (values, _) in (("pre", pre), ("post", post)):
+            for j, value in enumerate(values, start=1):
                 fh.write(f"{name},{j},{float(value)!r}\n")
     nodes = basis.nodes
     with open(os.path.join(out_dir, "eigenfunctions.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("segment,j,t,value\n")
-        for name, system in (("pre", pre_system), ("post", post_system)):
-            for j, row in enumerate(system.eigenfunctions[:5], start=1):
+        for name, (_, functions) in (("pre", pre), ("post", post)):
+            for j, row in enumerate(functions[:5], start=1):
                 for t, value in zip(nodes, basis.eval_matrix @ row):
                     fh.write(f"{name},{j},{float(t)!r},{float(value)!r}\n")
 
@@ -619,15 +621,16 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     config, epsilons = load_experiment_config(config_path, overrides)
+    workers = _resolve_workers(args.workers)  # refused before the directory is made
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     if epsilons is None:
-        table = run_experiment(config, workers=args.workers)
+        table = run_experiment(config, workers=workers)
         table.to_csv(os.path.join(out_dir, "results.csv"))
         table.to_json(os.path.join(out_dir, "results.json"))
         print(f"wrote {out_dir}/results.csv and results.json")
     else:
-        sweep = epsilon_sweep(config, epsilons, workers=args.workers)
+        sweep = epsilon_sweep(config, epsilons, workers=workers)
         for eps, table in sweep.tables:
             tag = repr(eps).replace(".", "p")
             table.to_csv(os.path.join(out_dir, f"results_eps{tag}.csv"))

@@ -1,6 +1,7 @@
-"""Empirical covariance kernels of function samples.
+"""Rows of function samples and the moment matrices of their prefixes.
 
-A kernel is a symmetric R x R matrix in one of two representations:
+A sample is an (n, R) array of rows, and a kernel is the symmetric R x R
+moment matrix of some of them, in one of two representations:
 
 * ``grid`` mode: entry (m, l) is the kernel value at midpoint nodes
   (t_m, t_l); double integrals carry the quadrature weight w = 1/M per axis.
@@ -17,16 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CovKernel",
     "SplitSample",
     "as_matrix",
     "prefix_count",
     "prefix_moments",
-    "sequential_kernel",
-    "kernel_distance_sq",
 ]
-
-SYMMETRY_TOL = 1e-12
 
 #: guard added before flooring n*lambda so that exactly representable
 #: products (e.g. lambda = l/K with K | n) never lose a sample to rounding
@@ -39,36 +35,6 @@ def mode_weight(mode: str, dim: int) -> float:
     if mode == "coeff":
         return 1.0
     raise ValueError(f"unknown kernel mode {mode!r}; expected 'grid' or 'coeff'")
-
-
-@dataclass(frozen=True)
-class CovKernel:
-    """Symmetric second-moment kernel with its quadrature weight."""
-
-    matrix: np.ndarray
-    mode: str
-    weight: float
-
-    def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError("kernel matrix must be square")
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("kernel matrix must be finite")
-        scale = max(1.0, float(np.abs(matrix).max()))
-        if np.abs(matrix - matrix.T).max() > SYMMETRY_TOL * scale:
-            raise ValueError("kernel matrix is not symmetric within tolerance")
-        expected_w = mode_weight(self.mode, matrix.shape[0])
-        if not np.isclose(self.weight, expected_w, rtol=1e-12, atol=0.0):
-            raise ValueError(
-                f"weight {self.weight} inconsistent with {self.mode} mode "
-                f"of dimension {matrix.shape[0]}"
-            )
-        object.__setattr__(self, "matrix", matrix)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def as_matrix(sample, mode: str = "coeff") -> np.ndarray:
@@ -98,11 +64,6 @@ def prefix_count(n_seg: int, lam: float) -> int:
     return int(np.floor(n_seg * lam + FLOOR_GUARD))
 
 
-def _build_kernel(matrix: np.ndarray, mode: str) -> CovKernel:
-    matrix = 0.5 * (matrix + matrix.T)  # remove rounding asymmetry
-    return CovKernel(matrix=matrix, mode=mode, weight=mode_weight(mode, matrix.shape[0]))
-
-
 def prefix_moments(values: np.ndarray, counts) -> np.ndarray:
     """Stack of ``values[:m].T @ values[:m] / m`` for each m in ``counts``.
 
@@ -124,40 +85,6 @@ def prefix_moments(values: np.ndarray, counts) -> np.ndarray:
         if m:
             np.divide(acc, m, out=out[i])
     return out
-
-
-def sequential_kernel(segment, lam: float, *, mode: str = "coeff") -> CovKernel:
-    """Uncentred second-moment kernel of the first floor(n*lambda) segment members.
-
-    Parameters
-    ----------
-    segment : array_like
-        (n, R) rows of the segment, n >= 1.
-    lam : float
-        Fraction in [0,1] of the segment to average; a zero prefix yields
-        the zero kernel.
-    mode : {'coeff', 'grid'}
-        Representation of the rows.
-
-    Returns
-    -------
-    CovKernel
-    """
-    values = as_matrix(segment, mode)
-    n = values.shape[0]
-    if n < 1:
-        raise ValueError("segment must contain at least one function")
-    return _build_kernel(prefix_moments(values, [prefix_count(n, lam)])[0], mode)
-
-
-def kernel_distance_sq(c1: CovKernel, c2: CovKernel) -> float:
-    """Quadrature value of the squared L2 distance between two kernels."""
-    if c1.mode != c2.mode:
-        raise ValueError(f"kernel modes differ: {c1.mode} vs {c2.mode}")
-    if c1.dim != c2.dim:
-        raise ValueError(f"kernel dimensions differ: {c1.dim} vs {c2.dim}")
-    diff = c1.matrix - c2.matrix
-    return float(c1.weight**2 * np.sum(diff * diff))
 
 
 @dataclass(frozen=True)

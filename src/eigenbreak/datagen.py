@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covkern import FLOOR_GUARD, CovKernel
+from .covkern import FLOOR_GUARD
 from .funcspace import CoeffSeries, fourier_basis
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "generate",
     "apply_eigenvalue_break",
     "apply_rotation_break",
-    "rotation_matrix",
-    "population_kernels",
 ]
 
 DEPENDENCES = ("iid", "fma1")
@@ -113,17 +111,6 @@ def apply_eigenvalue_break(coeffs: np.ndarray, magnitude: float,
     return out
 
 
-def rotation_matrix(order: int, phi: float) -> np.ndarray:
-    """Identity with a cos/sin rotation block on the first two coordinates."""
-    rot = np.eye(order)
-    c, s = np.cos(phi), np.sin(phi)
-    rot[0, 0] = c
-    rot[0, 1] = -s
-    rot[1, 0] = s
-    rot[1, 1] = c
-    return rot
-
-
 def apply_rotation_break(coeffs: np.ndarray, phi: float, theta0: float) -> np.ndarray:
     """Rotate the first two coordinates of post-break rows by the angle phi, on a copy."""
     out = np.array(coeffs, dtype=float, ndmin=2)
@@ -166,26 +153,3 @@ def generate(spec: DGPSpec, rng: np.random.Generator | None = None) -> CoeffSeri
     elif spec.break_kind == "rotation":
         coeffs = apply_rotation_break(coeffs, spec.magnitude, spec.theta0)
     return CoeffSeries(coeffs, fourier_basis(spec.T, spec.grid_size))
-
-
-def population_kernels(spec: DGPSpec) -> tuple[CovKernel, CovKernel]:
-    """Exact pre- and post-break covariance kernels in coefficient mode.
-
-    These are the kernels targeted by the empirical estimators when the
-    innovations are independent; useful for closed-form checks of kernel
-    distances and eigensystems.
-    """
-    pre = np.diag(spec.tau)
-    if spec.break_kind == "eigenvalue_shift":
-        factors = np.ones(spec.T)
-        factors[: min(SHIFT_COORDS, spec.T)] = 1.0 - np.sqrt(spec.magnitude)
-        post = np.diag(spec.tau * factors)
-    elif spec.break_kind == "rotation":
-        rot = rotation_matrix(spec.T, spec.magnitude)
-        post = rot @ np.diag(spec.tau) @ rot.T
-    else:
-        post = pre.copy()
-    return (
-        CovKernel(matrix=pre, mode="coeff", weight=1.0),
-        CovKernel(matrix=post, mode="coeff", weight=1.0),
-    )

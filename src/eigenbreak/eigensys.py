@@ -2,20 +2,17 @@
 
 Eigenvalues are reported on the integral-operator scale (matrix eigenvalues
 times the quadrature weight) and eigenfunctions are rescaled to unit
-quadrature norm, so both modes of :class:`~eigenbreak.covkern.CovKernel`
-yield directly comparable spectral data.
+quadrature norm, so both kernel modes of :mod:`~eigenbreak.covkern` yield
+directly comparable spectral data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .covkern import CovKernel, prefix_moments
+from .covkern import prefix_moments
 
 __all__ = [
-    "EigenSystem",
     "eigendecompose",
     "operator_eigh",
     "prefix_eigenpairs",
@@ -64,15 +61,6 @@ def gap_warning(eigenvalues, j: int) -> str | None:
             "of the leading eigenvalue; the eigenpair is not identifiable"
         )
     return None
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Leading eigenpairs of a covariance kernel, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenfunctions: np.ndarray
-    weight: float
 
 
 def _canonical_signs(functions: np.ndarray) -> np.ndarray:
@@ -265,31 +253,30 @@ def _row_space(rows: np.ndarray, spectrum: np.ndarray, longest: int, p: int):
     return vt[:d]
 
 
-def eigendecompose(kernel: CovKernel, p_max: int) -> EigenSystem:
-    """Leading eigenpairs of the integral operator induced by a kernel.
+def eigendecompose(matrix: np.ndarray, weight: float, p_max: int):
+    """Leading eigenpairs of the integral operator of one kernel matrix.
 
     Parameters
     ----------
-    kernel : CovKernel
-        Symmetric kernel in either representation.
+    matrix : numpy.ndarray
+        Symmetric R x R kernel matrix, taken as given.
+    weight : float
+        Quadrature weight of the matrix's mode.
     p_max : int
-        Number of leading eigenpairs to return, 1 <= p_max <= dimension.
+        Number of leading eigenpairs to return, 1 <= p_max <= R.
 
     Returns
     -------
-    EigenSystem
-        Eigenvalues sorted descending on the operator scale; eigenfunctions of
-        unit quadrature norm with a canonical sign, zero where unidentified.
+    (values, functions)
+        As :func:`operator_eigh` returns them for q = p = ``p_max``, except
+        that each eigenfunction has a canonical sign and an unidentified
+        pair (eigenvalue at round-off) a zero function.
     """
-    if not 1 <= p_max <= kernel.dim:
-        raise ValueError(f"p_max must lie in [1, {kernel.dim}], got {p_max}")
-    vals, functions = operator_eigh(kernel.matrix, kernel.weight, p_max, p_max)
+    if not 1 <= p_max <= matrix.shape[0]:
+        raise ValueError(f"p_max must lie in [1, {matrix.shape[0]}], got {p_max}")
+    vals, functions = operator_eigh(matrix, weight, p_max, p_max)
     functions[_unidentified(vals)] = 0.0
-    return EigenSystem(
-        eigenvalues=vals,
-        eigenfunctions=_canonical_signs(functions),
-        weight=kernel.weight,
-    )
+    return vals, _canonical_signs(functions)
 
 
 def aligned_distance_sq(v, u, *, weight: float = 1.0):

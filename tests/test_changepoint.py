@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from eigenbreak import changepoint
 from eigenbreak.changepoint import (
     _block_len,
-    cusum_objective,
     estimate_changepoint,
     objective_curve,
     search_range,
 )
 from eigenbreak.covkern import SplitSample
-from eigenbreak.datagen import DGPSpec, generate, population_kernels
+from eigenbreak.datagen import DGPSpec, generate
 from eigenbreak.funcspace import fourier_basis
 from eigenbreak.selfnorm import NuMeasure, sequential_eigensystem_paths
+from reference import cusum_objective, population_kernels
 
 # exact identities of the objective; few derandomized examples keep them cheap
 PROPERTY = settings(derandomize=True, max_examples=15, deadline=None)
@@ -172,7 +172,7 @@ def test_deterministic_population_break_is_located_exactly():
         spec = DGPSpec(N=40, T=order, break_kind="eigenvalue_shift", magnitude=0.9)
         periods = []
         for kernel in population_kernels(spec):
-            tau, vectors = np.linalg.eigh(kernel.matrix)
+            tau, vectors = np.linalg.eigh(kernel)
             periods.append((np.sqrt(order * tau) * vectors).T)
         values = np.vstack([periods[0]] * 2 + [periods[1]] * 2)
         curve = objective_curve(values)

@@ -326,6 +326,15 @@ def test_shipped_configs_load(name):
     assert epsilons is None and config.n_list == (200, 400, 600)
 
 
+def test_simulate_refuses_a_negative_worker_count_before_the_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", "--config", "figure1", "--replicates", "1", "--workers", "-1",
+               "--out-dir", str(out_dir)])
+    assert rc == 1
+    assert "worker count must be nonnegative" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.json"),
                "--out-dir", str(tmp_path)])
@@ -371,6 +380,18 @@ def test_analysis_finds_planted_rotation(tmp_path, small_pivot):
     assert len(eigen_lines) == 1 + 2 * 9
 
 
+def _report_digests(out_dir):
+    """sha256 of report.json, less the CSV path, and of the four CSV tables."""
+    report = json.loads((out_dir / "report.json").read_text())
+    del report["settings"]["csv_path"]
+    digests = {"report.json": hashlib.sha256(
+        json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest()}
+    for name in ("eigenfunction_table.csv", "eigenvalue_table.csv",
+                 "eigenvalues.csv", "eigenfunctions.csv"):
+        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+    return digests
+
+
 def test_analysis_bytes_are_golden(tmp_path, small_pivot):
     # report.json re-recorded when kernels below 32 dimensions took their
     # eigenfunctions from shifted solves and pairs at round-off got zero
@@ -380,14 +401,7 @@ def test_analysis_bytes_are_golden(tmp_path, small_pivot):
     write_daily_csv(series, 1950, csv_path)
     out_dir = tmp_path / "report"
     run_analysis(csv_path, out_dir, AnalysisConfig(T=9, j_fun=5, j_val=9), small_pivot)
-    report = json.loads((out_dir / "report.json").read_text())
-    del report["settings"]["csv_path"]
-    digests = {"report.json": hashlib.sha256(
-        json.dumps(report, sort_keys=True, indent=2).encode()).hexdigest()}
-    for name in ("eigenfunction_table.csv", "eigenvalue_table.csv",
-                 "eigenvalues.csv", "eigenfunctions.csv"):
-        digests[name] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-    assert digests == {
+    assert _report_digests(out_dir) == {
         "report.json": (
             "9448a141fafeae272d485c300460584ddc904ecb763e4e17fbc47612aa41b2d9"),
         "eigenfunction_table.csv": (
@@ -399,6 +413,49 @@ def test_analysis_bytes_are_golden(tmp_path, small_pivot):
         "eigenfunctions.csv": (
             "8d7724ad784f399583025afe4830213f0f09cea24a7fd6c0702295bc5e727e85"),
     }
+
+
+#: digests of 60 generated years analysed at the default order 41: years of
+#: order 21 give rank-21 rows, whose prefixes take one d x d stack in the
+#: row space; years of order 41 give full-rank segments shorter than 41,
+#: whose prefixes take Gram blocks
+_DEFAULT_ORDER_DIGESTS = {
+    21: {
+        "report.json": (
+            "de66472054d359ecf070145803326ef8edae723c9ef1b62018a47ed4b9a4351f"),
+        "eigenfunction_table.csv": (
+            "d17cce790c0fdbce18e8bedd4c48ae774f27eed4c38859535241d7d7a9385942"),
+        "eigenvalue_table.csv": (
+            "6e46ed25de0cefa073a9cee3fa117b360a056573d3b43bb7ba960e34cdf91caf"),
+        "eigenvalues.csv": (
+            "49919830fa33ebcf2581212f57bb60f0a9161622683c17624ee2b5a9cee7b1d3"),
+        "eigenfunctions.csv": (
+            "6504082207d09b9f240d98dcf704ad38f3374be0bceb596c47333141df20197d"),
+    },
+    41: {
+        "report.json": (
+            "ad3594c0e1873ecd928b86ab281bd0613382f89dfc23412f8d8070ef1db22fbe"),
+        "eigenfunction_table.csv": (
+            "b448354cea3f4db3d82c2eced2a9c6664fecd929c1c0dc9a06e07729c3f68d47"),
+        "eigenvalue_table.csv": (
+            "a7a2a052c9c6626aa58e45ece5254af20fff3c9ed9e5c9041f12ab25a7eaf91e"),
+        "eigenvalues.csv": (
+            "f65e9dabe98961042684a5b8f88bf4729e4e4cf49cfbf27d23c31e2cda50a7ec"),
+        "eigenfunctions.csv": (
+            "f6c66085986f14379e60babde572e897e16f19ede65611ad464197b799d913b0"),
+    },
+}
+
+
+@pytest.mark.parametrize("order", sorted(_DEFAULT_ORDER_DIGESTS))
+def test_analysis_bytes_at_the_default_order_are_golden(tmp_path, small_pivot, order):
+    series = generate(DGPSpec(N=60, T=order, break_kind="rotation", magnitude=math.pi / 2,
+                              seed=5))
+    csv_path = tmp_path / "years.csv"
+    write_daily_csv(series, 1950, csv_path)
+    out_dir = tmp_path / "report"
+    run_analysis(csv_path, out_dir, AnalysisConfig(), small_pivot)
+    assert _report_digests(out_dir) == _DEFAULT_ORDER_DIGESTS[order]
 
 
 def test_centred_analysis_ignores_the_level_of_the_data(tmp_path, small_pivot):

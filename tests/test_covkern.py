@@ -3,17 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from eigenbreak.covkern import (
-    CovKernel,
-    SplitSample,
-    as_matrix,
-    kernel_distance_sq,
-    prefix_count,
-    prefix_moments,
-    sequential_kernel,
-)
-from eigenbreak.datagen import DGPSpec, population_kernels
+from eigenbreak.covkern import SplitSample, as_matrix, mode_weight, prefix_count, prefix_moments
+from eigenbreak.datagen import DGPSpec
 from eigenbreak.funcspace import fourier_basis
+from reference import kernel_distance_sq, population_kernels
 
 TAU = 1.0 / np.arange(1, 22) ** 2
 
@@ -31,40 +24,39 @@ def brute_force_kernel(values, m):
 
 def test_single_function_rank_one():
     x = np.array([[1.0, 2.0, -1.0]])
-    kernel = sequential_kernel(x, 1.0, mode="grid")
-    np.testing.assert_allclose(kernel.matrix, np.outer(x[0], x[0]))
-    assert kernel.weight == pytest.approx(1.0 / 3.0)
+    np.testing.assert_allclose(prefix_moments(x, [1])[0], np.outer(x[0], x[0]))
+    assert mode_weight("grid", 3) == pytest.approx(1.0 / 3.0)
 
 
 def test_small_lambda_gives_zero_kernel():
     rng = np.random.default_rng(0)
     segment = rng.standard_normal((5, 4))
-    kernel = sequential_kernel(segment, 0.19, mode="coeff")
-    np.testing.assert_array_equal(kernel.matrix, np.zeros((4, 4)))
+    matrix = prefix_moments(segment, [prefix_count(5, 0.19)])[0]
+    np.testing.assert_array_equal(matrix, np.zeros((4, 4)))
 
 
 def test_empty_segment_rejected():
-    with pytest.raises(ValueError, match="at least one"):
-        sequential_kernel(np.empty((0, 3)), 1.0, mode="coeff")
+    with pytest.raises(ValueError, match="must be nonempty"):
+        SplitSample(pre=np.empty((0, 3)), post=np.ones((2, 3)))
 
 
 def test_full_kernel_matches_brute_force_exactly():
     rng = np.random.default_rng(42)
     segment = rng.standard_normal((50, 5)) * np.sqrt(1.0 / np.arange(1, 6) ** 2)
-    kernel = sequential_kernel(segment, 1.0, mode="coeff")
-    np.testing.assert_allclose(kernel.matrix, brute_force_kernel(segment, 50), atol=1e-13)
+    matrix = prefix_moments(segment, [50])[0]
+    np.testing.assert_allclose(matrix, brute_force_kernel(segment, 50), atol=1e-13)
 
 
 def test_iid_kernel_near_population_within_mc_tolerance():
     tau5 = 1.0 / np.arange(1, 6) ** 2
     rng = np.random.default_rng(3)
     segment = rng.standard_normal((50, 5)) * np.sqrt(tau5)
-    kernel = sequential_kernel(segment, 1.0, mode="coeff")
+    matrix = prefix_moments(segment, [50])[0]
     truth = np.diag(tau5)
     # Var(a_k a_l) = tau_k tau_l (+ 2 tau_k^2 on the diagonal)
     variances = np.outer(tau5, tau5) + 2.0 * np.diag(tau5**2)
     bound = 3.0 * np.sqrt(variances / 50)
-    assert np.all(np.abs(kernel.matrix - truth) <= bound)
+    assert np.all(np.abs(matrix - truth) <= bound)
 
 
 def test_prefix_count_floor_guard():
@@ -80,8 +72,8 @@ def test_sequential_path_matches_single_lambda():
     lams = [0.05, 0.3, 0.55, 1.0]
     path = prefix_moments(segment, [prefix_count(37, lam) for lam in lams])
     for lam, matrix in zip(lams, path):
-        single = sequential_kernel(segment, lam, mode="coeff")
-        np.testing.assert_allclose(matrix, single.matrix, atol=1e-13)
+        single = prefix_moments(segment, [prefix_count(37, lam)])[0]
+        np.testing.assert_allclose(matrix, single, atol=1e-13)
 
 
 def test_prefix_moments_match_brute_force_with_empty_and_repeated_counts():
@@ -105,8 +97,8 @@ def test_prefix_moments_reject_decreasing_or_oversized_counts():
 
 
 def test_distance_of_identical_kernels_is_zero():
-    kernel = sequential_kernel(np.random.default_rng(1).standard_normal((10, 4)), 1.0)
-    assert kernel_distance_sq(kernel, kernel) == 0.0
+    matrix = prefix_moments(np.random.default_rng(1).standard_normal((10, 4)), [10])[0]
+    assert kernel_distance_sq(matrix, matrix, 1.0) == 0.0
 
 
 def test_eigenvalue_shift_distance_closed_form():
@@ -118,7 +110,7 @@ def test_eigenvalue_shift_distance_closed_form():
         c1, c2 = population_kernels(
             DGPSpec(N=10, break_kind="eigenvalue_shift", magnitude=e)
         )
-        assert kernel_distance_sq(c1, c2) == pytest.approx(constant * e, rel=1e-9)
+        assert kernel_distance_sq(c1, c2, 1.0) == pytest.approx(constant * e, rel=1e-9)
 
 
 def test_rotation_distance_closed_form():
@@ -127,7 +119,7 @@ def test_rotation_distance_closed_form():
     for phi in (np.pi / 8, np.pi / 4, np.pi / 2):
         c1, c2 = population_kernels(DGPSpec(N=10, break_kind="rotation", magnitude=phi))
         expected = 2.0 * (TAU[0] - TAU[1]) ** 2 * np.sin(phi) ** 2
-        assert kernel_distance_sq(c1, c2) == pytest.approx(expected, rel=1e-9)
+        assert kernel_distance_sq(c1, c2, 1.0) == pytest.approx(expected, rel=1e-9)
 
 
 def test_mode_equivalence_of_distances():
@@ -135,28 +127,12 @@ def test_mode_equivalence_of_distances():
     basis = fourier_basis(11, 64)
     a = rng.standard_normal((20, 11))
     b = rng.standard_normal((20, 11))
-    coeff = kernel_distance_sq(
-        sequential_kernel(a, 1.0, mode="coeff"), sequential_kernel(b, 1.0, mode="coeff")
-    )
-    grid = kernel_distance_sq(
-        sequential_kernel(a @ basis.eval_matrix.T, 1.0, mode="grid"),
-        sequential_kernel(b @ basis.eval_matrix.T, 1.0, mode="grid"),
-    )
+    coeff = kernel_distance_sq(prefix_moments(a, [20])[0], prefix_moments(b, [20])[0],
+                               mode_weight("coeff", 11))
+    grid = kernel_distance_sq(prefix_moments(a @ basis.eval_matrix.T, [20])[0],
+                              prefix_moments(b @ basis.eval_matrix.T, [20])[0],
+                              mode_weight("grid", 64))
     assert grid == pytest.approx(coeff, abs=1e-8)
-
-
-def test_distance_mode_mismatch():
-    c_coeff = sequential_kernel(np.ones((3, 4)), 1.0, mode="coeff")
-    c_grid = sequential_kernel(np.ones((3, 4)), 1.0, mode="grid")
-    with pytest.raises(ValueError, match="modes differ"):
-        kernel_distance_sq(c_coeff, c_grid)
-
-
-def test_kernel_validation():
-    with pytest.raises(ValueError, match="symmetric"):
-        CovKernel(matrix=np.array([[1.0, 2.0], [0.0, 1.0]]), mode="coeff", weight=1.0)
-    with pytest.raises(ValueError, match="finite"):
-        CovKernel(matrix=np.array([[np.inf, 0.0], [0.0, 1.0]]), mode="coeff", weight=1.0)
 
 
 def test_split_sample_construction():
@@ -179,8 +155,6 @@ def test_non_finite_rows_are_refused_by_index(bad):
             as_matrix(values, mode)
         with pytest.raises(ValueError, match="sample row 6 "):
             SplitSample.at_index(values, 3, mode=mode)
-        with pytest.raises(ValueError, match="sample row 6 "):
-            sequential_kernel(values, 0.5, mode=mode)
     # built directly, the rows are numbered through pre, then post
     with pytest.raises(ValueError, match="sample row 6 "):
         SplitSample(pre=values[:5], post=values[5:])

@@ -7,46 +7,40 @@ import numpy as np
 import pytest
 
 import eigenbreak
-from eigenbreak.covkern import CovKernel, kernel_distance_sq, sequential_kernel
+from eigenbreak.covkern import prefix_moments
 from eigenbreak.eigensys import aligned_distance_sq, eigendecompose, gap_warning
 from eigenbreak.funcspace import fourier_basis
+from reference import kernel_distance_sq
 
 TAU = 1.0 / np.arange(1, 22) ** 2
 
 
-def coeff_kernel(matrix):
-    return CovKernel(matrix=matrix, mode="coeff", weight=1.0)
-
-
 def test_zero_kernel_has_zero_spectrum():
-    system = eigendecompose(coeff_kernel(np.zeros((5, 5))), 5)
-    np.testing.assert_array_equal(system.eigenvalues, np.zeros(5))
+    values, _ = eigendecompose(np.zeros((5, 5)), 1.0, 5)
+    np.testing.assert_array_equal(values, np.zeros(5))
 
 
 def test_diagonal_kernel_is_exact():
-    system = eigendecompose(coeff_kernel(np.diag([1.0, 0.25, 1.0 / 9.0])), 3)
-    np.testing.assert_allclose(system.eigenvalues, [1.0, 0.25, 1.0 / 9.0], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(np.abs(system.eigenfunctions), np.eye(3), atol=1e-15)
+    values, functions = eigendecompose(np.diag([1.0, 0.25, 1.0 / 9.0]), 1.0, 3)
+    np.testing.assert_allclose(values, [1.0, 0.25, 1.0 / 9.0], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.abs(functions), np.eye(3), atol=1e-15)
 
 
 def test_grid_mercer_kernel_recovers_spectrum():
     basis = fourier_basis(21, 200)
     f = basis.eval_matrix
-    matrix = f @ np.diag(TAU) @ f.T
-    kernel = CovKernel(matrix=matrix, mode="grid", weight=1.0 / 200)
-    system = eigendecompose(kernel, 21)
-    np.testing.assert_allclose(system.eigenvalues, TAU, atol=1e-8)
+    values, functions = eigendecompose(f @ np.diag(TAU) @ f.T, 1.0 / 200, 21)
+    np.testing.assert_allclose(values, TAU, atol=1e-8)
     for k in range(21):
-        dist_sq = aligned_distance_sq(system.eigenfunctions[k], f[:, k], weight=1.0 / 200)
+        dist_sq = aligned_distance_sq(functions[k], f[:, k], weight=1.0 / 200)
         assert dist_sq <= 1e-12
 
 
 def test_p_max_validation():
-    kernel = coeff_kernel(np.eye(4))
     with pytest.raises(ValueError, match="p_max"):
-        eigendecompose(kernel, 5)
+        eigendecompose(np.eye(4), 1.0, 5)
     with pytest.raises(ValueError, match="p_max"):
-        eigendecompose(kernel, 0)
+        eigendecompose(np.eye(4), 1.0, 0)
 
 
 def test_aligned_distance_sign_invariance():
@@ -77,14 +71,12 @@ def test_aligned_distance_sq_handles_zero_functions():
 def test_eigenvalue_sum_equals_trace():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((8, 8))
-    kernel = coeff_kernel(a @ a.T)
-    system = eigendecompose(kernel, 8)
-    assert system.eigenvalues.sum() == pytest.approx(np.trace(kernel.matrix), abs=1e-8)
+    values, _ = eigendecompose(a @ a.T, 1.0, 8)
+    assert values.sum() == pytest.approx(np.trace(a @ a.T), abs=1e-8)
     # grid mode: trace carries the quadrature weight
     g = rng.standard_normal((10, 10))
-    grid_kernel = CovKernel(matrix=g @ g.T, mode="grid", weight=0.1)
-    grid_system = eigendecompose(grid_kernel, 10)
-    assert grid_system.eigenvalues.sum() == pytest.approx(0.1 * np.trace(grid_kernel.matrix), abs=1e-8)
+    grid_values, _ = eigendecompose(g @ g.T, 0.1, 10)
+    assert grid_values.sum() == pytest.approx(0.1 * np.trace(g @ g.T), abs=1e-8)
 
 
 def test_eigenvalues_are_lipschitz_in_the_kernel():
@@ -93,20 +85,19 @@ def test_eigenvalues_are_lipschitz_in_the_kernel():
     for _ in range(10):
         a = rng.standard_normal((6, 6))
         b = rng.standard_normal((6, 6))
-        c1 = coeff_kernel(a @ a.T)
-        c2 = coeff_kernel(b @ b.T)
-        bound = np.sqrt(kernel_distance_sq(c1, c2))
-        v1 = eigendecompose(c1, 6).eigenvalues
-        v2 = eigendecompose(c2, 6).eigenvalues
+        c1, c2 = a @ a.T, b @ b.T
+        bound = np.sqrt(kernel_distance_sq(c1, c2, 1.0))
+        v1, _ = eigendecompose(c1, 1.0, 6)
+        v2, _ = eigendecompose(c2, 1.0, 6)
         assert np.all(np.abs(v1 - v2) <= bound + 1e-12)
 
 
 def test_eigenfunctions_are_quadrature_orthonormal():
     rng = np.random.default_rng(23)
     values = rng.standard_normal((40, 7))
-    kernel = sequential_kernel(values, 1.0, mode="grid")
-    system = eigendecompose(kernel, 7)
-    gram = system.weight * system.eigenfunctions @ system.eigenfunctions.T
+    weight = 1.0 / 7  # grid mode on 7 nodes
+    _, functions = eigendecompose(prefix_moments(values, [40])[0], weight, 7)
+    gram = weight * functions @ functions.T
     np.testing.assert_allclose(gram, np.eye(7), atol=1e-8)
 
 
@@ -114,8 +105,8 @@ def test_unidentified_pairs_get_zero_eigenfunctions():
     # three centred rows span two dimensions: eigh returns arbitrary
     # null-space vectors for pairs 3..5, which must not reach the output
     values = np.random.default_rng(31).standard_normal((3, 5))
-    system = eigendecompose(sequential_kernel(values - values.mean(axis=0), 1.0), 5)
-    norms = system.weight * np.sum(system.eigenfunctions**2, axis=1)
+    _, functions = eigendecompose(prefix_moments(values - values.mean(axis=0), [3])[0], 1.0, 5)
+    norms = np.sum(functions**2, axis=1)
     np.testing.assert_allclose(norms, [1.0, 1.0, 0.0, 0.0, 0.0], rtol=1e-12, atol=0.0)
 
 

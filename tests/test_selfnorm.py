@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from eigenbreak import eigensys, selfnorm
 from eigenbreak.covkern import SplitSample, mode_weight, prefix_count, prefix_moments
-from eigenbreak.datagen import DGPSpec, generate, population_kernels
+from eigenbreak.datagen import DGPSpec, generate
 from eigenbreak.eigensys import (
     aligned_distance_sq,
     eigendecompose,
@@ -31,6 +31,7 @@ from eigenbreak.selfnorm import (
     sequential_eigensystem_paths,
     simulate_pivot,
 )
+from reference import population_kernels
 
 NU = NuMeasure(20)
 # exact identities of the method; few derandomized examples keep them cheap
@@ -74,9 +75,9 @@ def test_population_rotation_kernels_give_constant_path():
     # at every lambda, so the squared-distance path is flat at 2 - 2 cos(phi)
     phi = np.pi / 8
     c1, c2 = population_kernels(DGPSpec(N=10, break_kind="rotation", magnitude=phi))
-    s1 = eigendecompose(c1, 1)
-    s2 = eigendecompose(c2, 1)
-    dist_sq = aligned_distance_sq(s1.eigenfunctions[0], s2.eigenfunctions[0])
+    _, f1 = eigendecompose(c1, 1.0, 1)
+    _, f2 = eigendecompose(c2, 1.0, 1)
+    dist_sq = aligned_distance_sq(f1[0], f2[0])
     path = make_path(np.full(20, dist_sq), kind="eigenfunction")
     np.testing.assert_allclose(path.values, 2.0 - 2.0 * np.cos(phi), atol=1e-12)
     assert self_normalizer(path, NU) == 0.0
@@ -189,6 +190,14 @@ def test_decide_validation(pivot):
             decide(path, 1.0, delta, pivot, 0.05)
     with pytest.raises(ValueError, match="level"):
         decide(path, 1.0, 0.1, pivot, 1.5)
+
+
+def test_decide_refuses_a_pivot_of_another_grid():
+    # a K=20 path decided by the K=30 law took its quantile from the wrong pivot
+    values = generate(DGPSpec(N=60, break_kind="rotation", magnitude=0.5, seed=3)).coeffs
+    path = diff_path(SplitSample.at_index(values, 30), 1, NU, "eigenvalue")
+    with pytest.raises(ValueError, match="K=30, but the path's grid has K=20"):
+        decide(path, self_normalizer(path, NU), 0.1, simulate_pivot(30, 2000), 0.05)
 
 
 def test_pivot_is_reproducible_and_sorted():
