@@ -135,7 +135,10 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
     Rows are grouped by calendar year; Feb 29 readings are dropped so every
     year lives on the same 365-node grid, with day d mapped to the position
     (d - 1/2) / 365.  Years with fewer than ``min_days`` valid readings are
-    excluded and reported.
+    excluded and reported.  The complete years, those with all 365 readings,
+    share one design and so one least-squares solve; each other year is
+    solved on its own days.  Either way a year's fit equals its own solve up
+    to rounding.
 
     The file is read by :mod:`csv` (so fields may be quoted and lines may
     end in ``\\r\\n``), and whitespace around each field is ignored.  A date
@@ -216,24 +219,29 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
         raise ValueError(f"{csv_path}: {shown}{more}")
 
     basis = fourier_basis(order, DAYS_PER_YEAR)
-    days, readings = day_index[by_day], values[by_day]
-    years, starts, counts = np.unique(year[by_day], return_index=True, return_counts=True)
-    coeffs = []
-    retained = []
-    excluded = []
-    for year_, start, count in zip(years.tolist(), starts.tolist(), counts.tolist()):
-        if count < min_days:
-            excluded.append((year_, count))
-            continue
-        rows = slice(start, start + count)
-        coeffs.append(_least_squares(basis.eval_matrix[days[rows] - 1], readings[rows]))
-        retained.append(year_)
-    if not coeffs:
+    days, readings, sorted_year = day_index[by_day], values[by_day], year[by_day]
+    first = np.ones(by_day.size, bool)
+    first[1:] = sorted_year[1:] != sorted_year[:-1]
+    year_starts = np.flatnonzero(first)
+    year_counts = np.diff(year_starts, append=by_day.size)
+    years = sorted_year[year_starts]
+    kept = year_counts >= min_days
+    if not kept.any():
         raise ValueError(f"{csv_path}: no year has at least {min_days} valid readings")
+    starts, counts = year_starts[kept], year_counts[kept]
+    # a complete year is a day-ordered run of all 365 readings: one shared design
+    complete = counts == DAYS_PER_YEAR
+    coeffs = np.empty((starts.size, order))
+    if complete.any():
+        runs = starts[complete, None] + np.arange(DAYS_PER_YEAR)
+        coeffs[complete] = _least_squares(basis.eval_matrix, readings[runs].T).T
+    for i in np.flatnonzero(~complete).tolist():
+        rows = slice(starts[i], starts[i] + counts[i])
+        coeffs[i] = _least_squares(basis.eval_matrix[days[rows] - 1], readings[rows])
     return IngestResult(
-        series=CoeffSeries(np.vstack(coeffs), basis),
-        years=tuple(retained),
-        excluded=tuple(excluded),
+        series=CoeffSeries(coeffs, basis),
+        years=tuple(years[kept].tolist()),
+        excluded=tuple(zip(years[~kept].tolist(), year_counts[~kept].tolist())),
     )
 
 
@@ -491,14 +499,14 @@ def _write_segment_eigendata(out_dir, basis, pre, post) -> None:
         for name, (values, _) in (("pre", pre), ("post", post)):
             for j, value in enumerate(values, start=1):
                 fh.write(f"{name},{j},{float(value)!r}\n")
-    nodes = basis.nodes
+    nodes = [repr(t) for t in basis.nodes.tolist()]
     with open(os.path.join(out_dir, "eigenfunctions.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write("segment,j,t,value\n")
         for name, (_, functions) in (("pre", pre), ("post", post)):
             for j, row in enumerate(functions[:5], start=1):
-                for t, value in zip(nodes, basis.eval_matrix @ row):
-                    fh.write(f"{name},{j},{float(t)!r},{float(value)!r}\n")
+                fh.writelines(f"{name},{j},{t},{value!r}\n"
+                              for t, value in zip(nodes, (basis.eval_matrix @ row).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -185,10 +185,14 @@ def project(samples, positions, basis: FourierBasis) -> np.ndarray:
 
 
 def _least_squares(design: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Coefficients minimizing |design @ c - samples|; the design needs full column rank."""
-    order = design.shape[1]
-    if samples.size < order:
-        raise ValueError(f"projection needs at least {order} samples, got {samples.size}")
+    """Coefficients minimizing |design @ c - samples|; the design needs full column rank.
+
+    ``samples`` is one vector of D values or a (D, n) matrix of n of them;
+    the coefficients are a length-T vector or a (T, n) matrix to match.
+    """
+    order, count = design.shape[1], samples.shape[0]
+    if count < order:
+        raise ValueError(f"projection needs at least {order} samples, got {count}")
     coeffs, _, rank, _ = np.linalg.lstsq(design, samples, rcond=None)
     if rank < order:
         raise ValueError(f"projection design is rank-deficient (rank {rank} < order {order})")

@@ -4,6 +4,8 @@ Kernels here are plain R x R matrices; a coefficient-mode kernel has the
 quadrature weight 1 and a grid-mode kernel on M nodes the weight 1/M.
 """
 
+import os
+
 import numpy as np
 
 from eigenbreak.covkern import as_matrix, mode_weight
@@ -57,3 +59,16 @@ def cusum_objective(sample, k: int, *, mode: str = "coeff") -> float:
     head, tail = values[:k], values[k:]
     diff = head.T @ head / k - tail.T @ tail / (n - k)
     return float(k * (n - k) / n**2 * weight**2 * np.sum(diff * diff))
+
+
+def write_eigenfunctions(out_dir, basis, pre, post) -> None:
+    """Line-by-line writer of ``eigenfunctions.csv``: each segment's first five
+    eigenfunctions of its ``(values, functions)`` pair on the basis nodes."""
+    nodes = basis.nodes
+    with open(os.path.join(out_dir, "eigenfunctions.csv"), "w", encoding="utf-8",
+              newline="\n") as fh:
+        fh.write("segment,j,t,value\n")
+        for name, (_, functions) in (("pre", pre), ("post", post)):
+            for j, row in enumerate(functions[:5], start=1):
+                for t, value in zip(nodes, basis.eval_matrix @ row):
+                    fh.write(f"{name},{j},{float(t)!r},{float(value)!r}\n")

@@ -27,6 +27,7 @@ from eigenbreak.selfnorm import (
     sequential_eigensystem_paths,
     simulate_pivot,
 )
+from reference import write_eigenfunctions
 
 
 def test_parse_float_or_pi():
@@ -380,6 +381,21 @@ def test_analysis_finds_planted_rotation(tmp_path, small_pivot):
     assert len(eigen_lines) == 1 + 2 * 9
 
 
+def test_eigenfunction_bytes_match_the_line_by_line_writer(tmp_path):
+    # six functions, so the cut at five shows, and values from 0 to 1e8
+    basis = fourier_basis(41, cli.DAYS_PER_YEAR)
+    rng = np.random.default_rng(3)
+    pre = (rng.standard_normal(41) ** 2, rng.standard_normal((6, 41)))
+    post = (np.array([1.0, 1e-300, 0.0]),
+            np.vstack([np.zeros(41), rng.standard_normal((2, 41)) * 1e8]))
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    cli._write_segment_eigendata(tmp_path / "new", basis, pre, post)
+    write_eigenfunctions(tmp_path / "old", basis, pre, post)
+    assert (tmp_path / "new" / "eigenfunctions.csv").read_bytes() == \
+        (tmp_path / "old" / "eigenfunctions.csv").read_bytes()
+
+
 def _report_digests(out_dir):
     """sha256 of report.json, less the CSV path, and of the four CSV tables."""
     report = json.loads((out_dir / "report.json").read_text())
@@ -395,7 +411,10 @@ def _report_digests(out_dir):
 def test_analysis_bytes_are_golden(tmp_path, small_pivot):
     # report.json re-recorded when kernels below 32 dimensions took their
     # eigenfunctions from shifted solves and pairs at round-off got zero
-    # functions: the eigenfunction normalizers of j = 2..5 moved, and no grade
+    # functions: the eigenfunction normalizers of j = 2..5 moved, and no grade;
+    # report.json and both eigen CSVs re-recorded when complete years began to
+    # share one least-squares solve: the coefficients moved by rounding, and
+    # both grade tables kept their bytes
     series = generate(DGPSpec(N=40, T=9, break_kind="rotation", magnitude=math.pi / 2, seed=0))
     csv_path = tmp_path / "rotated.csv"
     write_daily_csv(series, 1950, csv_path)
@@ -403,46 +422,48 @@ def test_analysis_bytes_are_golden(tmp_path, small_pivot):
     run_analysis(csv_path, out_dir, AnalysisConfig(T=9, j_fun=5, j_val=9), small_pivot)
     assert _report_digests(out_dir) == {
         "report.json": (
-            "9448a141fafeae272d485c300460584ddc904ecb763e4e17fbc47612aa41b2d9"),
+            "da84a810b918763cfc746f8d3715901c223ad3e5b13c37d1d7c72d0e0aa7fed4"),
         "eigenfunction_table.csv": (
             "5eb1e0cf039e18f6f57e02e55f07eea03b6c0ad250f6a223a0970b5be3a4a2a2"),
         "eigenvalue_table.csv": (
             "9eb4614572eb85321247499ee1b8eb620fbf171404d036df1b7e18e1d639249e"),
         "eigenvalues.csv": (
-            "b9bb446ef36000cf7ae53f664334e145e094d1ba1c0573b5ea8beb9ca2b3716c"),
+            "658b65634d90de694af38f32871cac0ed2bb9c7c63c76e4408e2fcf8e1469ca6"),
         "eigenfunctions.csv": (
-            "8d7724ad784f399583025afe4830213f0f09cea24a7fd6c0702295bc5e727e85"),
+            "3455fd70293432b48e1f48dc49a15736b99913be7c5fe2b9abfb1d18b6994599"),
     }
 
 
 #: digests of 60 generated years analysed at the default order 41: years of
 #: order 21 give rank-21 rows, whose prefixes take one d x d stack in the
 #: row space; years of order 41 give full-rank segments shorter than 41,
-#: whose prefixes take Gram blocks
+#: whose prefixes take Gram blocks; report.json and both eigen CSVs were
+#: re-recorded with the coefficients' rounding when complete years began to
+#: share one least-squares solve
 _DEFAULT_ORDER_DIGESTS = {
     21: {
         "report.json": (
-            "de66472054d359ecf070145803326ef8edae723c9ef1b62018a47ed4b9a4351f"),
+            "8180fece36d87cd7bed35a70bef96bbbb0c084b88e6a97177e8be32b76993f96"),
         "eigenfunction_table.csv": (
             "d17cce790c0fdbce18e8bedd4c48ae774f27eed4c38859535241d7d7a9385942"),
         "eigenvalue_table.csv": (
             "6e46ed25de0cefa073a9cee3fa117b360a056573d3b43bb7ba960e34cdf91caf"),
         "eigenvalues.csv": (
-            "49919830fa33ebcf2581212f57bb60f0a9161622683c17624ee2b5a9cee7b1d3"),
+            "e527fc923d2ddb344251602383d6d75572167295a87103f5a44fb34d8ceb58f6"),
         "eigenfunctions.csv": (
-            "6504082207d09b9f240d98dcf704ad38f3374be0bceb596c47333141df20197d"),
+            "db78a9024fecece658598ee1591542dc847864b9418c500a23c32ec8abc369de"),
     },
     41: {
         "report.json": (
-            "ad3594c0e1873ecd928b86ab281bd0613382f89dfc23412f8d8070ef1db22fbe"),
+            "85d250c19fb9d57745f70f3b6efdf2304bcf76b930a555832a1c032bc0b1d14c"),
         "eigenfunction_table.csv": (
             "b448354cea3f4db3d82c2eced2a9c6664fecd929c1c0dc9a06e07729c3f68d47"),
         "eigenvalue_table.csv": (
             "a7a2a052c9c6626aa58e45ece5254af20fff3c9ed9e5c9041f12ab25a7eaf91e"),
         "eigenvalues.csv": (
-            "f65e9dabe98961042684a5b8f88bf4729e4e4cf49cfbf27d23c31e2cda50a7ec"),
+            "6c28dcd2e64de90aeb4f71f76b328feef99be6d457905167ef9d233eb8bc9c4d"),
         "eigenfunctions.csv": (
-            "f6c66085986f14379e60babde572e897e16f19ede65611ad464197b799d913b0"),
+            "970f040bd1cd10434f5be4f0268bda8d6367db1f0041eb4aca61718849eaf968"),
     },
 }
 

@@ -3,6 +3,7 @@ import pytest
 
 from eigenbreak.funcspace import (
     GridFunction,
+    _least_squares,
     fourier_basis,
     inner_product,
     midpoint_nodes,
@@ -107,6 +108,29 @@ def test_project_underdetermined():
     positions = np.linspace(0.1, 0.9, 4)
     with pytest.raises(ValueError, match="at least"):
         project(np.ones(4), positions, basis)
+
+
+def test_least_squares_solves_each_column_of_a_matrix():
+    rng = np.random.default_rng(11)
+    design = fourier_basis(41, 365).eval_matrix
+    samples = rng.standard_normal((365, 30)) * 10.0 + 5.0
+    coeffs = _least_squares(design, samples)
+    assert coeffs.shape == (41, 30)
+    columns = np.column_stack([_least_squares(design, column) for column in samples.T])
+    assert np.max(np.abs(coeffs - columns)) <= 1e-13 * np.max(np.abs(columns))
+
+
+def test_least_squares_counts_rows_of_a_matrix():
+    design = fourier_basis(5, 32).eval_matrix[:4]
+    # 4 rows of 3 columns hold 12 values, still too few rows for 5 coefficients
+    with pytest.raises(ValueError, match="projection needs at least 5 samples, got 4"):
+        _least_squares(design, np.ones((4, 3)))
+
+
+def test_least_squares_refuses_a_rank_deficient_matrix_design():
+    design = np.repeat(fourier_basis(5, 32).eval_matrix[:1], 10, axis=0)
+    with pytest.raises(ValueError, match=r"rank-deficient \(rank 1 < order 5\)"):
+        _least_squares(design, np.ones((10, 3)))
 
 
 def test_project_positions_outside_unit_interval():
