@@ -16,8 +16,6 @@ from .funcspace import (
     FourierBasis,
     GridFunction,
     fourier_basis,
-    inner_product,
-    project,
     synthesize,
 )
 from .harness import ExperimentConfig, RejectionTable, epsilon_sweep, run_experiment
@@ -40,9 +38,7 @@ __all__ = [
     "FourierBasis",
     "CoeffSeries",
     "fourier_basis",
-    "inner_product",
     "synthesize",
-    "project",
     "SplitSample",
     "ChangePointEstimate",
     "objective_curve",

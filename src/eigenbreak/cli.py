@@ -23,7 +23,7 @@ import re
 import sys
 import types
 import typing
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from itertools import compress
 from operator import itemgetter
 
@@ -34,7 +34,13 @@ from .covkern import SplitSample, prefix_moments
 from .datagen import BREAK_KINDS, DEPENDENCES, DGPSpec, generate
 from .eigensys import eigendecompose
 from .funcspace import CoeffSeries, _least_squares, fourier_basis
-from .harness import ExperimentConfig, _resolve_workers, epsilon_sweep, run_experiment
+from .harness import (
+    ExperimentConfig,
+    _resolve_workers,
+    _sweep_configs,
+    epsilon_sweep,
+    run_experiment,
+)
 from .selfnorm import (
     DEFAULT_K,
     DEFAULT_PIVOT_REPLICATES,
@@ -423,7 +429,7 @@ def run_analysis(csv_path, out_dir, config: AnalysisConfig = AnalysisConfig(),
                     "normalizer": base.normalizer,
                     "ratio": base.ratio,
                     "p_value": base.p_value,
-                    "cell": (f"FALSE>{round((1.0 - rejecting[-1]) * 100)}%"
+                    "cell": (f"FALSE>{100 * (1 - rejecting[-1]):.10g}%"
                              if rejecting else "TRUE"),
                     "warnings": list(base.warnings),
                 }
@@ -575,9 +581,9 @@ def load_experiment_config(path, overrides: dict | None = None) -> tuple[Experim
     field's JSON type: an integer for an ``int`` field, any number for a
     ``float`` field, and an array for ``n_list``, ``magnitudes``, ``tau``
     and ``epsilons``.  The values, ``overrides`` (which skip the type
-    check) and every sweep trim must then pass ExperimentConfig's rules,
-    and a sweep needs at least one trim.  Unknown keys and invalid values
-    are reported by name before any replicate runs.
+    check) and every sweep trim must then pass ExperimentConfig's rules;
+    a sweep needs at least one trim and may not repeat one.  Unknown keys
+    and invalid values are reported by name before any replicate runs.
     """
     config, extras = _load_config(ExperimentConfig, path, overrides or {},
                                   {"epsilons": list[float]}, "config")
@@ -585,8 +591,8 @@ def load_experiment_config(path, overrides: dict | None = None) -> tuple[Experim
     try:
         if epsilons == []:
             raise ValueError("'epsilons' must hold at least one boundary trim")
-        for eps in epsilons or ():
-            replace(config, epsilon=eps)
+        if epsilons is not None:
+            _sweep_configs(config, epsilons)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return config, epsilons

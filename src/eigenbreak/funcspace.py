@@ -20,9 +20,7 @@ __all__ = [
     "CoeffSeries",
     "fourier_basis",
     "midpoint_nodes",
-    "inner_product",
     "synthesize",
-    "project",
 ]
 
 
@@ -47,10 +45,6 @@ class GridFunction:
             raise ValueError("grid function values must be finite")
         object.__setattr__(self, "values", values)
 
-    @property
-    def grid_size(self) -> int:
-        return self.values.size
-
 
 @dataclass(frozen=True)
 class FourierBasis:
@@ -67,13 +61,6 @@ class FourierBasis:
     @property
     def nodes(self) -> np.ndarray:
         return midpoint_nodes(self.grid_size)
-
-    def evaluate(self, points) -> np.ndarray:
-        """Evaluate all basis functions at arbitrary points in [0,1].
-
-        Returns a (len(points), T) design matrix.
-        """
-        return _evaluate_fourier(self.order, np.asarray(points, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -141,13 +128,6 @@ def fourier_basis(order: int, grid_size: int) -> FourierBasis:
     return FourierBasis(order=order, grid_size=grid_size, eval_matrix=eval_matrix)
 
 
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Midpoint-rule value of the L2 inner product of two grid functions."""
-    if f.grid_size != g.grid_size:
-        raise ValueError(f"grid sizes differ: {f.grid_size} vs {g.grid_size}")
-    return float(f.values @ g.values) / f.grid_size
-
-
 def synthesize(coeffs, basis: FourierBasis) -> GridFunction:
     """Evaluate the function with the given coefficient row on the basis grid."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -156,32 +136,6 @@ def synthesize(coeffs, basis: FourierBasis) -> GridFunction:
             f"coefficient row has length {coeffs.size}, basis order is {basis.order}"
         )
     return GridFunction(basis.eval_matrix @ coeffs)
-
-
-def project(samples, positions, basis: FourierBasis) -> np.ndarray:
-    """Least-squares coefficients of sampled function values.
-
-    Parameters
-    ----------
-    samples : array_like
-        D observed values.
-    positions : array_like
-        The D sample positions in [0,1].
-    basis : FourierBasis
-        Target basis; D >= T is required.
-
-    Returns
-    -------
-    numpy.ndarray
-        Coefficient row of length T minimizing the squared residual.
-    """
-    samples = np.asarray(samples, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    if samples.ndim != 1 or samples.shape != positions.shape:
-        raise ValueError("samples and positions must be matching 1-d vectors")
-    if np.any((positions < 0.0) | (positions > 1.0)):
-        raise ValueError("sample positions must lie in [0,1]")
-    return _least_squares(basis.evaluate(positions), samples)
 
 
 def _least_squares(design: np.ndarray, samples: np.ndarray) -> np.ndarray:

@@ -41,19 +41,11 @@ __all__ = [
     "run_experiment",
     "cell_outcomes",
     "epsilon_sweep",
-    "angle_for_distance_sq",
 ]
 
 _CHUNK = 250
 #: equal-width bins on [0, 1] of each cell's theta_hat histogram in an epsilon sweep
 _HIST_BINS = 20
-
-
-def angle_for_distance_sq(dist_sq: float) -> float:
-    """Rotation angle whose eigenfunction distance squared equals the given value."""
-    if not 0.0 <= dist_sq <= 4.0:
-        raise ValueError(f"squared eigenfunction distance must lie in [0,4], got {dist_sq}")
-    return float(np.arccos(1.0 - dist_sq / 2.0))
 
 
 @dataclass(frozen=True)
@@ -139,12 +131,6 @@ class RejectionTable:
 
     rows: tuple[RejectionRow, ...]
     config: ExperimentConfig
-
-    def rate_at(self, n_obs: int, magnitude: float) -> float:
-        for row in self.rows:
-            if row.n_obs == n_obs and np.isclose(row.magnitude, magnitude):
-                return row.rate
-        raise KeyError(f"no cell (N={n_obs}, magnitude={magnitude}) in the table")
 
     def to_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -308,6 +294,18 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Reje
     return _tabulate(config, workers)[0]
 
 
+def _sweep_configs(config: ExperimentConfig, epsilons) -> list[ExperimentConfig]:
+    """One config per boundary trim; an empty sweep or a repeated trim is refused."""
+    sweep = [replace(config, epsilon=float(eps)) for eps in epsilons]
+    if not sweep:
+        raise ValueError("an epsilon sweep needs at least one boundary trim")
+    trims = [eps_config.epsilon for eps_config in sweep]
+    for eps in trims:
+        if trims.count(eps) > 1:
+            raise ValueError(f"boundary trim {eps!r} is repeated in the sweep")
+    return sweep
+
+
 def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None) -> EpsilonSweep:
     """Repeat an experiment for several boundary trims and bin the estimates.
 
@@ -316,19 +314,16 @@ def epsilon_sweep(config: ExperimentConfig, epsilons, workers: int | None = None
     config : ExperimentConfig
         Template; its epsilon field is replaced by each sweep value.
     epsilons : iterable of float
-        Boundary trims to compare, at least one; every trim is checked
-        before the first replicate runs.
+        Boundary trims to compare, at least one and none twice; every trim
+        is checked before the first replicate runs.
 
     Returns
     -------
     EpsilonSweep
     """
-    sweep = [replace(config, epsilon=float(eps)) for eps in epsilons]
-    if not sweep:
-        raise ValueError("an epsilon sweep needs at least one boundary trim")
     tables = []
     histograms = []
-    for eps_config in sweep:
+    for eps_config in _sweep_configs(config, epsilons):
         table, cell_thetas = _tabulate(eps_config, workers)
         tables.append((eps_config.epsilon, table))
         for row, thetas in zip(table.rows, cell_thetas):

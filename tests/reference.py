@@ -1,4 +1,5 @@
-"""Closed-form and brute-force oracles that the tests compare the library against.
+"""Closed-form and brute-force oracles that the tests compare the library against,
+and the helpers that build and read the acceptance fixtures.
 
 Kernels here are plain R x R matrices; a coefficient-mode kernel has the
 quadrature weight 1 and a grid-mode kernel on M nodes the weight 1/M.
@@ -8,8 +9,8 @@ import os
 
 import numpy as np
 
-from eigenbreak.covkern import as_matrix, mode_weight
 from eigenbreak.datagen import SHIFT_COORDS, DGPSpec
+from eigenbreak.funcspace import _least_squares
 
 
 def rotation_matrix(order: int, phi: float) -> np.ndarray:
@@ -49,16 +50,49 @@ def kernel_distance_sq(c1: np.ndarray, c2: np.ndarray, weight: float) -> float:
     return float(weight**2 * np.sum(diff * diff))
 
 
-def cusum_objective(sample, k: int, *, mode: str = "coeff") -> float:
-    """Weighted squared kernel distance between the first k and last N-k observations."""
-    values = as_matrix(sample, mode)
-    n = values.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"split index must lie in [1, {n - 1}], got {k}")
-    weight = mode_weight(mode, values.shape[1])
-    head, tail = values[:k], values[k:]
-    diff = head.T @ head / k - tail.T @ tail / (n - k)
-    return float(k * (n - k) / n**2 * weight**2 * np.sum(diff * diff))
+def cusum_objective(values, k: int) -> float:
+    """The CUSUM objective of the split after the first k of N coefficient rows,
+    written as its definition: one outer product per row, then the squared
+    distance of the two parts' mean kernels, weighted by k (N - k) / N^2."""
+    n, r = values.shape
+    head = np.zeros((r, r))
+    tail = np.zeros((r, r))
+    for i in range(k):
+        head += np.outer(values[i], values[i])
+    for i in range(k, n):
+        tail += np.outer(values[i], values[i])
+    diff = head / k - tail / (n - k)
+    return k * (n - k) / n**2 * float(np.sum(diff * diff))
+
+
+def fourier_design(order: int, positions) -> np.ndarray:
+    """The real Fourier basis of odd order T at arbitrary positions in [0,1], as a
+    (D, T) design: the constant 1, then sqrt(2) sin(2 pi k x), then sqrt(2) cos(2 pi k x)."""
+    x = np.asarray(positions, dtype=float)
+    half = (order - 1) // 2
+    design = np.ones(x.shape + (order,))
+    for k in range(1, half + 1):
+        design[..., k] = np.sqrt(2.0) * np.sin(2.0 * np.pi * k * x)
+        design[..., half + k] = np.sqrt(2.0) * np.cos(2.0 * np.pi * k * x)
+    return design
+
+
+def project(samples: np.ndarray, positions, basis) -> np.ndarray:
+    """Least-squares coefficients on ``basis`` of D values sampled at the given positions."""
+    return _least_squares(fourier_design(basis.order, positions), samples)
+
+
+def angle_for_distance_sq(dist_sq: float) -> float:
+    """Rotation angle whose eigenfunction distance squared 2 - 2 cos(phi) is ``dist_sq``."""
+    return float(np.arccos(1.0 - dist_sq / 2.0))
+
+
+def rate_at(table, n_obs: int, magnitude: float) -> float:
+    """Rejection rate of a table's (N, magnitude) cell."""
+    for row in table.rows:
+        if row.n_obs == n_obs and np.isclose(row.magnitude, magnitude):
+            return row.rate
+    raise KeyError(f"no cell (N={n_obs}, magnitude={magnitude}) in the table")
 
 
 def write_eigenfunctions(out_dir, basis, pre, post) -> None:

@@ -29,12 +29,7 @@ from eigenbreak.changepoint import (
 from eigenbreak.datagen import DGPSpec, generate
 from eigenbreak.eigensys import aligned_distance_sq, eigendecompose
 from eigenbreak.funcspace import fourier_basis
-from eigenbreak.harness import (
-    ExperimentConfig,
-    angle_for_distance_sq,
-    cell_outcomes,
-    run_experiment,
-)
+from eigenbreak.harness import ExperimentConfig, cell_outcomes, run_experiment
 from eigenbreak.selfnorm import (
     DiffPath,
     NuMeasure,
@@ -44,7 +39,13 @@ from eigenbreak.selfnorm import (
     simulate_pivot,
 )
 from eigenbreak.cli import AnalysisConfig, run_analysis, write_daily_csv
-from reference import kernel_distance_sq, population_kernels
+from reference import (
+    angle_for_distance_sq,
+    cusum_objective,
+    kernel_distance_sq,
+    population_kernels,
+    rate_at,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -194,7 +195,7 @@ def test_criterion_3_eigen_oracle():
 
 
 def test_criterion_4_boundary_level(eigenvalue_table):
-    rate = eigenvalue_table.rate_at(600, 0.1)
+    rate = rate_at(eigenvalue_table, 600, 0.1)
     ok = 0.03 <= rate <= 0.07
     assert verdict("4", ok, f"eigenvalue test at the boundary (E=0.1): rate {rate:.4f}")
 
@@ -210,7 +211,7 @@ def _monotone_within_slack(rows):
 
 def test_criterion_5_interior_null_and_power_shape(eigenvalue_table, eigenfunction_table):
     bound = 0.05 + 2.0 * math.sqrt(0.05 * 0.95 / 4000)
-    val_interior = eigenvalue_table.rate_at(600, 0.01)
+    val_interior = rate_at(eigenvalue_table, 600, 0.01)
     val_monotone = _monotone_within_slack(eigenvalue_table.rows)
 
     fun_rows = {
@@ -303,18 +304,6 @@ def test_criterion_7_epsilon_sensitivity():
     )
 
 
-def brute_force_objective(values, k):
-    n, r = values.shape
-    head = np.zeros((r, r))
-    tail = np.zeros((r, r))
-    for i in range(k):
-        head += np.outer(values[i], values[i])
-    for i in range(k, n):
-        tail += np.outer(values[i], values[i])
-    diff = head / k - tail / (n - k)
-    return k * (n - k) / n**2 * float(np.sum(diff * diff))
-
-
 def test_criterion_8_brute_force_oracles(pivot_k20):
     rng = np.random.default_rng(88)
     curve_err = 0.0
@@ -322,7 +311,7 @@ def test_criterion_8_brute_force_oracles(pivot_k20):
         values = rng.standard_normal((n, 3))
         curve = objective_curve(values)
         for k in range(1, n):
-            curve_err = max(curve_err, abs(curve[k - 1] - brute_force_objective(values, k)))
+            curve_err = max(curve_err, abs(curve[k - 1] - cusum_objective(values, k)))
 
     nu = NuMeasure(20)
     lambdas = np.append(nu.points, 1.0)

@@ -80,9 +80,7 @@ def test_generate_roundtrip(tmp_path):
 
 
 def test_ingest_recovers_basis_function(tmp_path):
-    basis = fourier_basis(41, 365)
-    positions = (np.arange(1, 366) - 0.5) / 365
-    values = basis.evaluate(positions)[:, 2]
+    values = fourier_basis(41, 365).eval_matrix[:, 2]  # day d at (d - 1/2) / 365
     path = tmp_path / "one_year.csv"
     with open(path, "w") as fh:
         fh.write("date,value\n")
@@ -122,9 +120,7 @@ def test_ingest_with_no_retained_years(tmp_path):
 
 def test_ingest_skips_leap_day_and_missing(tmp_path):
     path = tmp_path / "leap.csv"
-    basis = fourier_basis(3, 365)
-    positions = (np.arange(1, 366) - 0.5) / 365
-    values = 2.0 * basis.evaluate(positions)[:, 0]
+    values = 2.0 * fourier_basis(3, 365).eval_matrix[:, 0]
     import datetime
 
     with open(path, "w") as fh:
@@ -214,6 +210,25 @@ def test_simulate_shipped_config_shape(tmp_path):
     assert len(payload["rows"]) == 27
 
 
+def test_simulate_sweep_writes_the_tables_of_epsilon_sweep(tmp_path):
+    fields = {"test_kind": "eigenvalue", "j": 1, "delta": 0.1, "break_kind": "eigenvalue_shift",
+              "magnitudes": [0.1], "n_list": [60], "replicates": 8, "seed": 5}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({**fields, "epsilons": [0, 0.05]}))
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", "--config", str(cfg), "--out-dir", str(out_dir), "--workers", "1"])
+    assert rc == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "histograms.csv", "results_eps0p0.csv", "results_eps0p0.json",
+        "results_eps0p05.csv", "results_eps0p05.json"]
+    sweep = harness.epsilon_sweep(*load_experiment_config(cfg), workers=1)
+    for (eps, table), name in zip(sweep.tables, ("results_eps0p0.csv", "results_eps0p05.csv")):
+        table.to_csv(tmp_path / "expected.csv")
+        assert (out_dir / name).read_bytes() == (tmp_path / "expected.csv").read_bytes(), eps
+    sweep.histograms_to_csv(tmp_path / "expected.csv")
+    assert (out_dir / "histograms.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_simulate_rejects_empty_magnitudes(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({
@@ -275,6 +290,8 @@ _BAD_EXPERIMENT_FIELDS = [
     ({"epsilons": [0.05, 0.7]}, "boundary trim epsilon"),
     # made the out dir, then failed with a message that named no file
     ({"epsilons": []}, "'epsilons'"),
+    # ran the repeated trim's experiment twice and wrote its table twice
+    ({"epsilons": [0, 0.05, 1e-05, 0.05]}, "boundary trim 0.05 is repeated"),
     # exited 1 with a message that named nothing
     ({"magnitudes": "0.1"}, "'magnitudes'"),
     ({"replicates": "10"}, "'replicates'"),
@@ -531,6 +548,21 @@ def test_analysis_report_matrix_shapes(tmp_path, small_pivot):
     assert report["settings"]["order"] == 5
     pre = report["eigenvalues"]["pre"]
     assert pre == sorted(pre, reverse=True)
+
+
+@pytest.mark.parametrize("alphas, label", [((0.1, 0.005, 0.001), "FALSE>99.5%"),
+                                           ((0.1, 0.035), "FALSE>96.5%")])
+def test_grade_labels_keep_the_level_digits(tmp_path, small_pivot, alphas, label):
+    # a strong eigenvalue shift: j=1 rejects at 0.005 (p_value about 0.998) but
+    # not at 0.001, and its label names the exact confidence, not a rounded one
+    series = generate(DGPSpec(N=200, T=9, break_kind="eigenvalue_shift", magnitude=0.9, seed=3))
+    csv_path = tmp_path / "shift.csv"
+    write_daily_csv(series, 1900, csv_path)
+    config = AnalysisConfig(T=9, epsilon=0.05, j_fun=2, j_val=3, alphas=alphas)
+    report = run_analysis(csv_path, tmp_path / "report", config, small_pivot)
+    assert [c["cell"] for c in report["eigenvalue_tests"] if c["j"] == 1] == [label] * 3
+    table = (tmp_path / "report" / "eigenvalue_table.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in table[1:]] == [label] * 3
 
 
 def test_analysis_solves_only_for_the_tested_eigenfunctions(tmp_path, monkeypatch, small_pivot):

