@@ -24,8 +24,6 @@ import sys
 import types
 import typing
 from dataclasses import asdict, dataclass, fields
-from itertools import compress
-from operator import itemgetter
 
 import numpy as np
 
@@ -47,6 +45,7 @@ from .selfnorm import (
     DEFAULT_PIVOT_SEED,
     NuMeasure,
     PivotDistribution,
+    _CACHE_GRID,
     cached_pivot,
     decide,
     self_normalizer,
@@ -102,37 +101,7 @@ class IngestResult:
 
 
 #: days before each month in a year without Feb 29
-_DAYS_BEFORE_MONTH = np.array([0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334])
-_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
-
-
-def _parse_each(parse, texts: list[str], dtype, fill) -> tuple[np.ndarray, np.ndarray]:
-    """``parse`` of each text (``fill`` where it raises ValueError) and where it succeeded."""
-    n = len(texts)
-    try:
-        return np.fromiter(map(parse, texts), dtype, n), np.ones(n, bool)
-    except ValueError:
-        pass
-    values = np.full(n, fill, dtype)
-    parsed = np.zeros(n, bool)
-    for i, text in enumerate(texts):
-        try:
-            values[i] = parse(text)
-        except ValueError:
-            continue
-        parsed[i] = True
-    return values, parsed
-
-
-def _parse_dates(texts: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Year, month and day of each ``datetime.date.fromisoformat`` text, and where it parsed."""
-    # the date objects live only in this call, off ingest_daily's peak
-    dates, parsed = _parse_each(datetime.date.fromisoformat, texts, object, datetime.date.min)
-    ordinals = np.fromiter(map(datetime.date.toordinal, dates), np.int64, len(texts))
-    days = (ordinals - _EPOCH_ORDINAL).astype("datetime64[D]")
-    months = days.astype("datetime64[M]")
-    year = days.astype("datetime64[Y]").astype(np.int64) + 1970
-    return year, months.astype(np.int64) % 12 + 1, (days - months).astype(np.int64) + 1, parsed
+_DAYS_BEFORE_MONTH = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 
 
 def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> IngestResult:
@@ -152,8 +121,10 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
     ``float`` accepts that gives a finite number, and an empty value marks
     a missing reading; blank rows are skipped.  A row with a wrong field
     count, an unparseable date or value, a non-finite value or a second
-    reading for one day is an error: the ``ValueError`` names the first
-    five such lines in line order and counts the rest.
+    reading for one day is an error, and a row is reported by the first of
+    these it has: the ``ValueError`` names the first five such lines in line
+    order and counts the rest.  A Feb 29 row's value is checked before the
+    day is dropped.
 
     Parameters
     ----------
@@ -170,66 +141,58 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
         Coefficient rows in ascending year order, the retained years, and
         the excluded (year, reading count) pairs.
     """
+    # each row gives its first fault or its reading: grid key, value, line, date text
+    faults, keys, values, lines, dates = [], [], [], [], []
     with open(csv_path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header] != ["date", "value"]:
             raise ValueError(f"{csv_path}: expected header 'date,value', got {header}")
-        lines = list(reader)
-    widths = np.fromiter(map(len, lines), np.intp, len(lines))
-    blank = widths == 0
-    for i in np.flatnonzero(widths == 1):
-        blank[i] = not lines[i][0].strip()
-    paired = widths == 2
-    pairs = np.flatnonzero(paired)
-    paired_lines = list(compress(lines, paired.tolist()))
-    date_texts = list(map(str.strip, map(itemgetter(0), paired_lines)))
-    value_texts = list(map(str.strip, map(itemgetter(1), paired_lines)))
-
-    # each check below sees only the rows that passed the ones before it
-    year, month, day, date_ok = _parse_dates(date_texts)
-    has_value = date_ok & np.fromiter(map(bool, value_texts), bool, len(value_texts))
-    values = np.full(len(value_texts), np.nan)
-    value_ok = np.zeros(len(value_texts), bool)
-    values[has_value], value_ok[has_value] = _parse_each(
-        float, list(compress(value_texts, has_value.tolist())), float, np.nan
-    )
-    finite = np.isfinite(values)
-    reading = finite & ~((month == 2) & (day == 29))
-    day_index = _DAYS_BEFORE_MONTH[month - 1] + day
-    # readings sorted by (year, day), in line order within one day
-    key = year * 366 + day_index
-    by_day = np.flatnonzero(reading)
-    by_day = by_day[np.argsort(key[by_day], kind="stable")]
-    repeat = np.zeros(by_day.size, bool)
-    repeat[1:] = key[by_day[1:]] == key[by_day[:-1]]
-
-    def field(i, column):
-        return lines[i][column].strip()
-
-    problems = [
-        (np.flatnonzero(~blank & ~paired), lambda i: f"expected 2 fields, got {widths[i]}"),
-        (pairs[~date_ok], lambda i: f"unparseable date {field(i, 0)!r}"),
-        (pairs[has_value & ~value_ok], lambda i: f"unparseable value {field(i, 1)!r}"),
-        (pairs[value_ok & ~finite], lambda i: f"non-finite value {field(i, 1)!r}"),
-        (pairs[by_day[repeat]], lambda i: f"duplicate reading for {field(i, 0)}"),
-    ]
-    bad = np.concatenate([where for where, _ in problems])
-    if bad.size:
-        kind = np.repeat(np.arange(len(problems)), [where.size for where, _ in problems])
-        shown = "; ".join(
-            f"line {bad[j] + 2}: {problems[kind[j]][1](bad[j])}"
-            for j in np.argsort(bad, kind="stable")[:5]
-        )
-        more = f" (+{bad.size - 5} more)" if bad.size > 5 else ""
+        for line, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                if len(row) > 1 or (row and row[0].strip()):
+                    faults.append((line, f"expected 2 fields, got {len(row)}"))
+                continue  # blank rows are skipped
+            date_text, value_text = row[0].strip(), row[1].strip()
+            try:
+                date = datetime.date.fromisoformat(date_text)
+            except ValueError:
+                faults.append((line, f"unparseable date {date_text!r}"))
+                continue
+            if not value_text:
+                continue  # a missing reading
+            try:
+                value = float(value_text)
+            except ValueError:
+                faults.append((line, f"unparseable value {value_text!r}"))
+                continue
+            if not math.isfinite(value):
+                faults.append((line, f"non-finite value {value_text!r}"))
+            elif date.month != 2 or date.day != 29:  # Feb 29 is dropped
+                keys.append(date.year * 366 + _DAYS_BEFORE_MONTH[date.month - 1] + date.day)
+                values.append(value)
+                lines.append(line)
+                dates.append(date_text)
+    # readings sorted by (year, day), in line order within one day; a later
+    # copy of a day is a duplicate
+    keys = np.array(keys, np.int64)
+    by_day = np.argsort(keys, kind="stable")
+    keys, values = keys[by_day], np.array(values)[by_day]
+    repeat = by_day[1:][keys[1:] == keys[:-1]]
+    faults += [(lines[i], f"duplicate reading for {dates[i]}") for i in repeat.tolist()]
+    del lines, dates
+    if faults:
+        faults.sort()
+        shown = "; ".join(f"line {line}: {text}" for line, text in faults[:5])
+        more = f" (+{len(faults) - 5} more)" if len(faults) > 5 else ""
         raise ValueError(f"{csv_path}: {shown}{more}")
 
     basis = fourier_basis(order, DAYS_PER_YEAR)
-    days, readings, sorted_year = day_index[by_day], values[by_day], year[by_day]
-    first = np.ones(by_day.size, bool)
+    sorted_year, days = np.divmod(keys, 366)
+    first = np.ones(keys.size, bool)
     first[1:] = sorted_year[1:] != sorted_year[:-1]
     year_starts = np.flatnonzero(first)
-    year_counts = np.diff(year_starts, append=by_day.size)
+    year_counts = np.diff(year_starts, append=keys.size)
     years = sorted_year[year_starts]
     kept = year_counts >= min_days
     if not kept.any():
@@ -240,10 +203,10 @@ def ingest_daily(csv_path, order: int, min_days: int = DEFAULT_MIN_DAYS) -> Inge
     coeffs = np.empty((starts.size, order))
     if complete.any():
         runs = starts[complete, None] + np.arange(DAYS_PER_YEAR)
-        coeffs[complete] = _least_squares(basis.eval_matrix, readings[runs].T).T
+        coeffs[complete] = _least_squares(basis.eval_matrix, values[runs].T).T
     for i in np.flatnonzero(~complete).tolist():
         rows = slice(starts[i], starts[i] + counts[i])
-        coeffs[i] = _least_squares(basis.eval_matrix[days[rows] - 1], readings[rows])
+        coeffs[i] = _least_squares(basis.eval_matrix[days[rows] - 1], values[rows])
     return IngestResult(
         series=CoeffSeries(coeffs, basis),
         years=tuple(years[kept].tolist()),
@@ -284,7 +247,9 @@ def _resolve_pivot(config: AnalysisConfig, pivot) -> PivotDistribution:
     or None for the default pivot's quantile summary, which holds the numbers
     a default cache from ``eigenbreak quantiles`` holds.  Only that command
     writes caches: a missing one is refused, as is a pivot for another ``K``
-    or one with fewer than ten draws above the smallest level's quantile.
+    or one with fewer than ten values above the smallest level's quantile.
+    A cache holds at most 10,000 quantiles, however many draws made it, so
+    none serves a level below 0.001.
     """
     K, alpha = config.K, min(config.alphas)
     source = "the pivot"
@@ -299,10 +264,16 @@ def _resolve_pivot(config: AnalysisConfig, pivot) -> PivotDistribution:
                              f"'eigenbreak quantiles --K {K} --out {pivot}'") from None
     if pivot.K != K:
         raise ValueError(f"{source} was built for K={pivot.K}, need K={K}")
-    if pivot.sample.size * alpha < 10:
-        raise ValueError(f"{source} holds {pivot.sample.size} draws, fewer than 10 above its "
-                         f"{1 - alpha:.4g} quantile at level {alpha!r}; write a larger one with "
-                         f"'eigenbreak quantiles --K {K} --R {math.ceil(10 / alpha)}'")
+    size = pivot.sample.size
+    if size * alpha < 10:
+        held = "draws" if size == pivot.R else "quantiles"
+        if _CACHE_GRID * alpha < 10:
+            remedy = f"no quantile cache serves a level below {10 / _CACHE_GRID:g}"
+        else:
+            remedy = (f"write a larger one with "
+                      f"'eigenbreak quantiles --K {K} --R {math.ceil(10 / alpha)}'")
+        raise ValueError(f"{source} holds {size} {held}, fewer than 10 above its "
+                         f"{1 - alpha:.4g} quantile at level {alpha!r}; {remedy}")
     return pivot
 
 
@@ -589,8 +560,6 @@ def load_experiment_config(path, overrides: dict | None = None) -> tuple[Experim
                                   {"epsilons": list[float]}, "config")
     epsilons = extras.get("epsilons")
     try:
-        if epsilons == []:
-            raise ValueError("'epsilons' must hold at least one boundary trim")
         if epsilons is not None:
             _sweep_configs(config, epsilons)
     except ValueError as exc:

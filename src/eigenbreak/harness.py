@@ -298,7 +298,7 @@ def _sweep_configs(config: ExperimentConfig, epsilons) -> list[ExperimentConfig]
     """One config per boundary trim; an empty sweep or a repeated trim is refused."""
     sweep = [replace(config, epsilon=float(eps)) for eps in epsilons]
     if not sweep:
-        raise ValueError("an epsilon sweep needs at least one boundary trim")
+        raise ValueError("'epsilons' must hold at least one boundary trim")
     trims = [eps_config.epsilon for eps_config in sweep]
     for eps in trims:
         if trims.count(eps) > 1:

@@ -810,6 +810,9 @@ def test_analyze_refuses_a_missing_quantile_cache(tmp_path, capsys, monkeypatch,
     ("3", "0.1,0.05,0.01", True),
     ("99", "0.1", True),  # 9.9 draws above the 0.9 quantile
     ("100", "0.1", False),
+    # the default cache: it was told to write one with --R 20000, which holds
+    # 10k quantiles too, as every cache holds at most 10k
+    ("500000", "0.1,0.0005", True),
 ])
 def test_analyze_refuses_a_coarse_quantile_cache(tmp_path, capsys, ten_year_csv,
                                                  draws, alphas, refused):
@@ -825,8 +828,13 @@ def test_analyze_refuses_a_coarse_quantile_cache(tmp_path, capsys, ten_year_csv,
     assert rc == 1
     err = capsys.readouterr().err
     level = alphas.split(",")[-1]
-    assert f"holds {draws} draws" in err and f"level {level}" in err
-    assert "eigenbreak quantiles --K 20 --R" in err
+    assert f"level {level}" in err
+    if float(level) < 0.001:
+        assert "holds 10000 quantiles" in err
+        assert "no quantile cache serves a level below 0.001" in err and "--R" not in err
+    else:
+        assert f"holds {draws} draws" in err
+        assert "eigenbreak quantiles --K 20 --R" in err
     assert not out_dir.exists()
 
 
